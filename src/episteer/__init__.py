@@ -7,7 +7,8 @@ from .control import (AffineCost, ControlDecision, ControlSpec, CostTerm,
                       constraint_value, default_edge_cost, default_node_cost,
                       solve, transformed_infection_prob)
 from .errors import (ConfigError, CoverViolation, DegenerateEvidence,
-                     Infeasible, ModelError, ZeroProbabilityEvidence)
+                     Infeasible, ModelError, SolverFailure,
+                     ZeroProbabilityEvidence)
 from .filtering import (BeliefState, EvidenceSets, TouchCounter, evidence_sets,
                         filter_step, infer_observed, infer_unobserved,
                         initial_belief, likelihoods, predict_all,

@@ -12,19 +12,25 @@ over a box, which we solve with a logarithmic-barrier interior-point method.
 Generic modeling layers reject the product terms, so the barrier solver is
 coded directly: damped Newton with backtracking per stage, barrier weight
 increased tenfold per stage, terminating once the duality measure drops
-below 1e-8.  Variables that the constraint does not touch are split off and
-minimized in closed form.  Every returned decision is re-certified through
-the one-step predictors before it leaves this module.
+below 1e-8.  Each survival product involves in-edges of one target node
+only, so the Newton matrix is block-diagonal by target node plus a diagonal
+and one rank-one term.  A Newton step assembles it in O(sum of squared
+in-degrees), solves the blocks in O(sum of cubed in-degrees) and needs
+O(n + m + sum of squared in-degrees) memory, never a dense matrix.  The
+Newton model drops negative cost curvature (the default edge cost is
+concave), so every Newton system is positive definite.  Variables that the
+constraint does not touch are split off and minimized in closed form.  Every
+returned decision is re-certified through the one-step predictors.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import CoverViolation, Infeasible
+from .errors import CoverViolation, Infeasible, SolverFailure
 from .filtering import BeliefState, predict_all
 from .graphs import ObserverSet, SpreadingGraph, _frozen, unobserved_in_neighbor
 from .simulate import SISParams
@@ -132,14 +138,7 @@ class PiecewiseLinearCost(CostTerm):
         return 0.0
 
     def box_argmin(self, lo, hi):
-        candidates = [lo] + [x for x in self.xs if lo < x < hi] + [hi]
-        best = candidates[0]
-        best_val = self.value(best)
-        for z in candidates[1:]:
-            v = self.value(z)
-            if v < best_val - 0.0:
-                best, best_val = z, v
-        return best
+        return min([lo] + [x for x in self.xs if lo < x < hi] + [hi], key=self.value)
 
     def domain_covers(self, lo, hi):
         return self.xs[0] <= lo + 1e-12 and self.xs[-1] >= hi - 1e-12
@@ -213,10 +212,17 @@ def _spread_costs(spec_value, count, default):
 
 @dataclass(frozen=True)
 class SolveDiagnostics:
+    """How a decision was reached: ``mode`` is corner, barrier or fallback.
+
+    ``final_tolerance`` is the Newton decrement at the last barrier stage's
+    final iterate; ``converged`` says whether it passed that stage's test.
+    """
+
     iterations: int
     final_tolerance: float
     stages: int
     mode: str
+    converged: bool
 
 
 @dataclass(frozen=True, eq=False)
@@ -328,8 +334,7 @@ class _ConstraintModel:
     """
 
     def __init__(self, X_obs, belief, spec, g, o, dlo, dhi, glo, ghi):
-        n = g.node_count
-        m = len(g.edges)
+        n, m = g.node_count, len(g.edges)
         w = spec.effective_w(g)
         xhat = belief.xhat
         X = np.asarray(X_obs, dtype=np.float64)
@@ -377,15 +382,19 @@ class _ConstraintModel:
                               np.array(s_ids + [ep], dtype=np.int64)))
 
         self.w = w
-        self.n_nodes = n
 
-        # variable layout: coupled retention variables then coupled survival variables
+        # variable layout: coupled retention variables, then coupled survival
+        # variables.  Every term multiplies in-edges of one target node, so the
+        # constraint Hessian is block-diagonal by target node; survival
+        # variables go block by block, blocks sorted by size (one batch each).
         self.coupled_delta = np.array(
             [i for i in range(n) if a[i] > 0.0 and not d_pinned[i]], dtype=np.int64)
-        referenced = sorted({int(e) for _, ids in terms for e in ids})
-        self.referenced_edges = np.array(referenced, dtype=np.int64)
-        self.coupled_gamma = np.array(
-            [e for e in referenced if not g_pinned[e]], dtype=np.int64)
+        free = np.array(sorted({int(e) for _, ids in terms for e in ids
+                                if not g_pinned[e]}), dtype=np.int64)
+        target = np.array([g.edges[e][1] for e in free], dtype=np.int64)
+        _, block_of, sizes = np.unique(target, return_inverse=True, return_counts=True)
+        order = np.lexsort((target, sizes[block_of]))
+        self.coupled_gamma = free[order]
         self.n_cd = self.coupled_delta.size
         self.dim = self.n_cd + self.coupled_gamma.size
 
@@ -394,12 +403,9 @@ class _ConstraintModel:
 
         gamma_pos = np.full(m, -1, dtype=np.int64)
         gamma_pos[self.coupled_gamma] = self.n_cd + np.arange(self.coupled_gamma.size)
-        self._gamma_pos = gamma_pos
 
         # gamma work vector: pinned edges fixed, unreferenced edges irrelevant
-        gw = np.ones(m)
-        gw[g_pinned] = glo[g_pinned]
-        self._gamma_work = gw
+        self._gamma_work = np.where(g_pinned, glo, 1.0)
 
         # flattened per-node survival-product segments for value evaluation
         self.psi_b = np.array(psi_b)
@@ -408,28 +414,47 @@ class _ConstraintModel:
         counts = np.array([ids.size for ids in psi_s_sets], dtype=np.int64)
         self.psi_s_concat = (np.concatenate(psi_s_sets) if psi_s_sets
                              else np.empty(0, dtype=np.int64))
-        ends = np.cumsum(counts)
-        self.psi_starts = ends - counts
-        self.psi_ends = ends
+        self.psi_ends = np.cumsum(counts)
+        self.psi_starts = self.psi_ends - counts
         self._has_ep = self.psi_a > 0.0
 
-        # flattened monomial terms for derivatives
+        # flattened monomial terms for derivatives, and each coupled member's
+        # term, edge and variable position
         self.term_coefs = np.array([c for c, _ in terms])
         t_counts = np.array([ids.size for _, ids in terms], dtype=np.int64)
         self.term_members = (np.concatenate([ids for _, ids in terms])
                              if terms else np.empty(0, dtype=np.int64))
-        t_ends = np.cumsum(t_counts)
-        self.term_starts = t_ends - t_counts
-        self.term_ends = t_ends
-        self.term_counts = t_counts
-        self.term_member_pos = gamma_pos[self.term_members] if terms else np.empty(0, dtype=np.int64)
-        # static gather arrays for the vectorized Hessian
-        member_term = (np.repeat(np.arange(self.term_coefs.size), t_counts)
-                       if terms else np.empty(0, dtype=np.int64))
-        valid = self.term_member_pos >= 0
-        self._hm_edge = self.term_members[valid]
-        self._hm_pos = self.term_member_pos[valid]
-        self._hm_term = member_term[valid]
+        self.term_ends = np.cumsum(t_counts)
+        self.term_starts = self.term_ends - t_counts
+        coupled = gamma_pos[self.term_members] >= 0
+        self._m_term = np.repeat(np.arange(t_counts.size), t_counts)[coupled]
+        self._m_edge = self.term_members[coupled]
+        self._m_pos = gamma_pos[self._m_edge]
+
+        # The Hessian blocks sit back to back in one flat buffer, row by row
+        # in layout order: a variable's row starts where the previous ends.
+        size = sizes[block_of][order]       # block size of each survival variable
+        row = np.cumsum(size) - size
+        slot = (np.arange(size.size) - np.searchsorted(size, size)) % size
+        self._diag_flat = row + slot
+        self._flat_size = int(size.sum())
+        self._groups = []                   # (block size, z slice, flat slice)
+        values, firsts = np.unique(size, return_index=True)
+        for s, i, j in zip(values.tolist(), firsts.tolist(), firsts[1:].tolist() + [size.size]):
+            self._groups.append((s, slice(self.n_cd + i, self.n_cd + j),
+                                 slice(int(row[i]), int(row[i]) + (j - i) * s)))
+
+        # every ordered pair of a term's coupled members adds to one block entry
+        cc = np.bincount(self._m_term, minlength=t_counts.size)
+        sq = cc ** 2
+        self._pair_term = pair_term = np.repeat(np.arange(cc.size), sq)
+        within = np.arange(int(sq.sum())) - np.repeat(np.cumsum(sq) - sq, sq)
+        start = (np.cumsum(cc) - cc)[pair_term]
+        ia = start + within // cc[pair_term]
+        ib = start + within % cc[pair_term]
+        self._pair_a, self._pair_b = self._m_edge[ia], self._m_edge[ib]
+        self._pair_sign = np.where(ia == ib, w - 1.0, -1.0)
+        self._pair_flat = row[self._m_pos[ia] - self.n_cd] + slot[self._m_pos[ib] - self.n_cd]
 
     # -- evaluation ---------------------------------------------------------
 
@@ -465,86 +490,81 @@ class _ConstraintModel:
         gw = self._fill(z)
         grad = np.zeros(self.dim)
         grad[:self.n_cd] = self.a_coupled
-        if self.term_coefs.size:
-            prods = self._term_products(gw)
-            weights = np.repeat(prods, self.term_counts) / (self.w * gw[self.term_members])
-            valid = self.term_member_pos >= 0
-            if valid.any():
-                grad -= np.bincount(self.term_member_pos[valid],
-                                    weights=weights[valid], minlength=self.dim)
-        return grad
+        weights = self._term_products(gw)[self._m_term] / (self.w * gw[self._m_edge])
+        return grad - np.bincount(self._m_pos, weights=weights, minlength=self.dim)
 
     def hess(self, z) -> np.ndarray:
+        """Constraint Hessian as the flat buffer of its per-target-node blocks.
+
+        A term ``P = coef * prod(g ** (1/w))`` adds ``P (w [e == f] - 1) /
+        (w**2 g_e g_f)`` to entry (e, f); retention variables enter linearly.
+        """
         gw = self._fill(z)
-        h = np.zeros((self.dim, self.dim))
-        if not self._hm_edge.size:
-            return h
-        prods = self._term_products(gw)
-        gm = gw[self._hm_edge]
-        v = prods[self._hm_term] / (self.w * gm)
-        # Sum_k outer(v_k, v_k) / P_k via a (dim x terms) scatter matrix
-        scatter = np.zeros((self.dim, prods.size))
-        scatter[self._hm_pos, self._hm_term] = v
-        h -= (scatter / prods) @ scatter.T
-        diag = np.bincount(self._hm_pos, weights=prods[self._hm_term] / (self.w * gm * gm),
-                           minlength=self.dim)
-        idx = np.arange(self.dim)
-        h[idx, idx] += diag
-        return h
+        inv = 1.0 / (self.w * gw)
+        weights = (self._term_products(gw)[self._pair_term] * inv[self._pair_a]
+                   * inv[self._pair_b] * self._pair_sign)
+        return np.bincount(self._pair_flat, weights=weights, minlength=self._flat_size)
+
+    def newton_step(self, z, c, cg, diag, g0) -> np.ndarray:
+        """Newton step of the barrier objective ``f0 - log(-c)`` at ``z``.
+
+        Solves ``(H / (-c) + outer(cg, cg) / c**2 + diag(diag)) step =
+        -(g0 + cg / (-c))`` with ``H = hess(z)`` and ``g0`` the gradient of
+        ``f0``: one batched solve per block size, division on the retention
+        variables, Sherman–Morrison for the rank-one term.
+        """
+        blocks = self.hess(z) / (-c)
+        blocks[self._diag_flat] += diag[self.n_cd:]
+        rhs = np.stack((-g0, cg), axis=1)
+        sol = rhs / diag[:, None]
+        for s, var, flat in self._groups:
+            sol[var] = np.linalg.solve(blocks[flat].reshape(-1, s, s),
+                                       rhs[var].reshape(-1, s, 2)).reshape(-1, 2)
+        x, y = sol[:, 0], sol[:, 1]
+        cy = float(cg @ y)
+        nu = (float(cg @ x) - c) / (c * c + cy)
+        step = x - nu * y
+        # near the boundary, cancellation in x - nu * y blurs the component
+        # along cg that descent hinges on: restore cg @ step = c * c * nu + c
+        return step + y * ((c * c * nu + c - float(cg @ step)) / cy)
 
 
 class _CostArray:
-    """Vectorized value/slope/curvature over one variable block."""
+    """Vectorized value/slope/curvature over one variable block.
+
+    Affine and power costs are both ``scale * z**exponent + intercept``.
+    """
 
     def __init__(self, costs):
         self.count = len(costs)
-        aff_idx, aff_s, aff_b = [], [], []
-        pow_idx, pow_e, pow_s = [], [], []
-        self.pwl = []
+        table, self.other = [], []
         for k, c in enumerate(costs):
             if isinstance(c, AffineCost):
-                aff_idx.append(k)
-                aff_s.append(c.slope_coef)
-                aff_b.append(c.intercept)
+                table.append((k, c.slope_coef, 1.0, c.intercept))
             elif isinstance(c, PowerCost):
-                pow_idx.append(k)
-                pow_e.append(c.exponent)
-                pow_s.append(c.scale)
+                table.append((k, c.scale, c.exponent, 0.0))
             else:
-                self.pwl.append((k, c))
-        self.aff_idx = np.array(aff_idx, dtype=np.int64)
-        self.aff_s = np.array(aff_s)
-        self.aff_b = np.array(aff_b)
-        self.pow_idx = np.array(pow_idx, dtype=np.int64)
-        self.pow_e = np.array(pow_e)
-        self.pow_s = np.array(pow_s)
+                self.other.append((k, c))
+        table = np.array(table, dtype=np.float64).reshape(-1, 4)
+        self.idx = table[:, 0].astype(np.int64)
+        self.scale, self.exp, self.intercept = table[:, 1], table[:, 2], table[:, 3]
 
     def value(self, z) -> float:
-        total = 0.0
-        if self.aff_idx.size:
-            total += float((self.aff_s * z[self.aff_idx] + self.aff_b).sum())
-        if self.pow_idx.size:
-            total += float((self.pow_s * z[self.pow_idx] ** self.pow_e).sum())
-        for k, c in self.pwl:
-            total += c.value(z[k])
-        return total
+        total = float((self.scale * z[self.idx] ** self.exp + self.intercept).sum())
+        return total + sum(c.value(z[k]) for k, c in self.other)
 
     def slope(self, z) -> np.ndarray:
         out = np.zeros(self.count)
-        if self.aff_idx.size:
-            out[self.aff_idx] = self.aff_s
-        if self.pow_idx.size:
-            out[self.pow_idx] = self.pow_s * self.pow_e * z[self.pow_idx] ** (self.pow_e - 1.0)
-        for k, c in self.pwl:
+        out[self.idx] = self.scale * self.exp * z[self.idx] ** (self.exp - 1.0)
+        for k, c in self.other:
             out[k] = c.slope(z[k])
         return out
 
     def curvature(self, z) -> np.ndarray:
         out = np.zeros(self.count)
-        if self.pow_idx.size:
-            out[self.pow_idx] = (self.pow_s * self.pow_e * (self.pow_e - 1.0)
-                                 * z[self.pow_idx] ** (self.pow_e - 2.0))
-        for k, c in self.pwl:
+        out[self.idx] = (self.scale * self.exp * (self.exp - 1.0)
+                         * z[self.idx] ** (self.exp - 2.0))
+        for k, c in self.other:
             out[k] = c.curvature(z[k])
         return out
 
@@ -553,8 +573,11 @@ class _CostArray:
 # barrier solver
 
 def _newton_stage(model, cost_arr, z, lo, hi, t, dec_tol=1e-11, max_iter=60):
-    dim = z.size
+    """Damped Newton on one barrier stage: (z, steps, decrement at z, converged).
 
+    The model keeps only the nonnegative part of the cost curvature, so every
+    Newton matrix is positive definite and every step a descent direction.
+    """
     def feval(zz):
         if np.any(zz <= lo) or np.any(zz >= hi):
             return np.inf
@@ -566,31 +589,28 @@ def _newton_stage(model, cost_arr, z, lo, hi, t, dec_tol=1e-11, max_iter=60):
 
     f_cur = feval(z)
     iters = 0
-    for _ in range(max_iter):
+    stalled = False
+    while True:
         c = model.value(z)
         cg = model.grad(z)
         inv_lo = 1.0 / (z - lo)
         inv_hi = 1.0 / (hi - z)
-        grad = t * cost_arr.slope(z) + cg / (-c) - inv_lo + inv_hi
-        h = model.hess(z) / (-c) + np.outer(cg, cg) / (c * c)
-        h[np.arange(dim), np.arange(dim)] += (
-            t * cost_arr.curvature(z) + inv_lo ** 2 + inv_hi ** 2)
-        scale = max(1.0, float(np.trace(h)) / dim)
-        lam = 0.0
-        step = None
-        for _ in range(40):
-            try:
-                step = np.linalg.solve(h + lam * np.eye(dim), -grad)
-            except np.linalg.LinAlgError:
-                step = None
-            if step is not None and float(grad @ step) < 0.0:
-                break
-            lam = max(lam * 10.0, 1e-10 * scale)
-        else:
-            break
+        g0 = t * cost_arr.slope(z) - inv_lo + inv_hi
+        grad = g0 + cg / (-c)
+        diag = t * np.maximum(cost_arr.curvature(z), 0.0) + inv_lo ** 2 + inv_hi ** 2
+        try:
+            step = model.newton_step(z, c, cg, diag, g0)
+        except np.linalg.LinAlgError as exc:
+            raise SolverFailure(f"singular Newton system: {exc}") from exc
         gs = float(grad @ step)
-        if -gs / 2.0 <= dec_tol:
-            break
+        if not gs <= 0.0:
+            raise SolverFailure(
+                f"Newton step is not a descent direction (slope {gs:.3e})")
+        decrement = -gs / 2.0
+        if decrement <= dec_tol:
+            return z, iters, decrement, True
+        if stalled or iters == max_iter:
+            return z, iters, decrement, False
         # fraction-to-boundary: do not waste line-search trials outside the box
         with np.errstate(divide="ignore"):
             room = np.where(step > 0.0, (hi - z) / step,
@@ -605,13 +625,11 @@ def _newton_stage(model, cost_arr, z, lo, hi, t, dec_tol=1e-11, max_iter=60):
                 break
             alpha *= 0.5
         if not accepted:
-            break
+            return z, iters, decrement, False
         iters += 1
         moved = float(np.abs(alpha * step).max())
         z, f_cur = z_new, f_new
-        if moved <= 1e-15 * (1.0 + float(np.abs(z).max())):
-            break
-    return z, iters
+        stalled = moved <= 1e-15 * (1.0 + float(np.abs(z).max()))
 
 
 def _feasible_start(model, lo, hi, corner, c_min):
@@ -633,20 +651,19 @@ def _barrier_solve(model, cost_arr, lo, hi, corner, c_min):
     z = _feasible_start(model, lo, hi, corner, c_min)
     m_log = 1 + 2 * z.size
     t = 1.0
-    total_iters = 0
-    stages = 0
+    total_iters = stages = 0
     while True:
         final = m_log / t <= DUALITY_TARGET
         # intermediate stages only track the central path; solve them loosely
-        z, it = _newton_stage(model, cost_arr, z, lo, hi, t,
-                              dec_tol=1e-11 if final else 1e-6,
-                              max_iter=80 if final else 40)
+        z, it, decrement, converged = _newton_stage(
+            model, cost_arr, z, lo, hi, t, dec_tol=1e-11 if final else 1e-6,
+            max_iter=80 if final else 40)
         total_iters += it
         stages += 1
         if final:
-            break
+            return z, SolveDiagnostics(total_iters, decrement, stages, "barrier",
+                                       converged)
         t *= 10.0
-    return z, total_iters, stages, m_log / t
 
 
 # ---------------------------------------------------------------------------
@@ -684,8 +701,7 @@ def solve(X_obs, belief: BeliefState, spec: ControlSpec, g: SpreadingGraph,
         raise ValueError("observer set does not match the belief state")
     if not np.array_equal(X_obs[o.mask].astype(np.float64), belief.xhat[o.mask]):
         raise ValueError("observed entries disagree with the belief state")
-    n = g.node_count
-    m = len(g.edges)
+    n, m = g.node_count, len(g.edges)
     dlo, dhi = _resolve_bounds(spec.delta_c_bounds, n, "delta_c")
     glo, ghi = _resolve_bounds(spec.gamma_bounds, m, "gamma", positive_lo=True)
     node_costs = spec.resolved_node_costs(g)
@@ -697,28 +713,16 @@ def solve(X_obs, belief: BeliefState, spec: ControlSpec, g: SpreadingGraph,
 
     model = _ConstraintModel(X_obs, belief, spec, g, o, dlo, dhi, glo, ghi)
 
-    delta_c = np.empty(n)
-    gamma = np.empty(m)
-    # pinned variables sit at their (unique) bound
-    d_pinned = (dhi - dlo) <= 0.0
-    g_pinned = (ghi - glo) <= 0.0
-    delta_c[d_pinned] = dlo[d_pinned]
-    gamma[g_pinned] = glo[g_pinned]
-    # variables outside the constraint take their cost-minimal box value
-    coupled_d = set(model.coupled_delta.tolist())
-    coupled_g = set(model.coupled_gamma.tolist())
-    for i in range(n):
-        if not d_pinned[i] and i not in coupled_d:
-            delta_c[i] = node_costs[i].box_argmin(dlo[i], dhi[i])
-    for e in range(m):
-        if not g_pinned[e] and e not in coupled_g:
-            gamma[e] = edge_costs[e].box_argmin(glo[e], ghi[e])
+    # variables outside the constraint take their cost-minimal box value,
+    # pinned ones their only value
+    delta_c = np.array([c.box_argmin(a, b) for c, a, b in zip(node_costs, dlo, dhi)], float)
+    gamma = np.array([c.box_argmin(a, b) for c, a, b in zip(edge_costs, glo, ghi)], float)
 
     lo = np.concatenate([dlo[model.coupled_delta], glo[model.coupled_gamma]])
     hi = np.concatenate([dhi[model.coupled_delta], ghi[model.coupled_gamma]])
     corner = np.concatenate([dlo[model.coupled_delta], ghi[model.coupled_gamma]])
 
-    c_min = model.value(corner) if model.dim else model.value(np.empty(0))
+    c_min = model.value(corner)
     if c_min > SLACK_TOLERANCE:
         raise Infeasible(
             f"decay constraint unreachable: minimal gap {c_min:.6e} over the "
@@ -726,14 +730,12 @@ def solve(X_obs, belief: BeliefState, spec: ControlSpec, g: SpreadingGraph,
 
     if model.dim == 0 or c_min > -1e-9:
         z = corner
-        diagnostics = SolveDiagnostics(0, 0.0, 0, "corner")
+        diagnostics = SolveDiagnostics(0, 0.0, 0, "corner", True)
     else:
         cost_arr = _CostArray(
             [node_costs[i] for i in model.coupled_delta]
             + [edge_costs[e] for e in model.coupled_gamma])
-        z, iters, stages, duality = _barrier_solve(model, cost_arr, lo, hi,
-                                                   corner, c_min)
-        diagnostics = SolveDiagnostics(iters, duality, stages, "barrier")
+        z, diagnostics = _barrier_solve(model, cost_arr, lo, hi, corner, c_min)
 
     delta_c[model.coupled_delta] = z[:model.n_cd]
     gamma[model.coupled_gamma] = z[model.n_cd:]
@@ -756,15 +758,11 @@ def solve(X_obs, belief: BeliefState, spec: ControlSpec, g: SpreadingGraph,
     fallback_obj = (sum(node_costs[i].value(dlo[i]) for i in range(n))
                     + sum(edge_costs[e].value(ghi[e]) for e in range(m)))
     if decision.objective_value > fallback_obj + 1e-9:
-        dc = dlo.copy()
-        gm = ghi.copy()
-        decision, _ = build_decision(
-            dc, gm, SolveDiagnostics(diagnostics.iterations,
-                                     diagnostics.final_tolerance,
-                                     diagnostics.stages, "fallback"))
+        decision, _ = build_decision(dlo.copy(), ghi.copy(),
+                                     replace(diagnostics, mode="fallback"))
 
     if decision.constraint_slack < -SLACK_TOLERANCE:
-        raise RuntimeError(
+        raise SolverFailure(
             f"solver returned a decision whose certified slack "
             f"{decision.constraint_slack:.3e} violates the tolerance")
     return decision

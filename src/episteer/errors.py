@@ -44,5 +44,13 @@ class Infeasible(ModelError):
         self.min_lhs = min_lhs
 
 
+class SolverFailure(ModelError):
+    """The controller could not produce a decision it can certify.
+
+    Raised when the certified constraint slack of a decision violates the
+    tolerance, or when the Newton system fails to yield a descent step.
+    """
+
+
 class ConfigError(Exception):
     """Invalid configuration document or input file."""

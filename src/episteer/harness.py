@@ -142,7 +142,9 @@ def _run_replication(cfg: ExperimentConfig, rep: int) -> list:
             belief = filter_step(belief, g, params, state.x)
             filter_s = time.perf_counter() - t0
     except ModelError as exc:
-        raise type(exc)(f"replication {rep}, step {t}: {exc}") from exc
+        # keep the class and its fields (``node``, ``min_lhs``); prefix the message
+        exc.args = (f"replication {rep}, step {t}: {exc}",) + exc.args[1:]
+        raise
     return records
 
 

@@ -1,5 +1,6 @@
 import json
 
+import episteer.control
 from episteer.cli import main
 
 
@@ -48,6 +49,19 @@ def test_run_infeasible_exits_3(tmp_path, capsys):
         "r": 0.7, "delta_c_bounds": [0.9, 0.9], "gamma_bounds": [0.5, 0.5]})
     assert main(["run", str(cfg)]) == 3
     assert "model error" in capsys.readouterr().err
+
+
+def test_run_uncertified_decision_exits_3(tmp_path, capsys, monkeypatch):
+    # predictors that overshoot every node make each decision's certified
+    # slack fail; the solver's error must reach the CLI's exit-code contract
+    predict_all = episteer.control.predict_all
+    monkeypatch.setattr(episteer.control, "predict_all",
+                        lambda *args: predict_all(*args) + 1.0)
+    cfg = write_config(tmp_path)
+    assert main(["run", str(cfg), "--out", str(tmp_path / "r.csv")]) == 3
+    err = capsys.readouterr().err
+    assert "model error: replication 0, step 0" in err
+    assert "certified slack" in err
 
 
 def test_cover_command(tmp_path, capsys):

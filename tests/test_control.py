@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import episteer as ep
+from episteer import control
 from _support import random_covered_instance
 
 
@@ -280,12 +281,23 @@ def test_solve_feasible_throughout_reference_closed_loop():
     rng = ep.RngStream((82, 100))
     state = ep.ProcessState(np.ones(30, dtype=np.uint8))
     belief = ep.initial_belief(g, o, np.ones(30), state.x)
+    converged = []
     for _ in range(100):
         dec = ep.solve(state.x, belief, spec, g, o)
         assert dec.constraint_slack >= -1e-6
+        diag = dec.solver_diagnostics
+        if diag.mode == "corner":
+            assert (diag.iterations, diag.final_tolerance, diag.converged) == (0, 0.0, True)
+        else:
+            # the reported tolerance is the last stage's own Newton decrement:
+            # it passed the final test exactly when the stage converged
+            assert diag.converged == (diag.final_tolerance <= 1e-11)
+            converged.append(diag.converged)
         params = ep.SISParams(dec.delta_star, dec.beta_star)
         state = ep.step(g, params, state, rng)
         belief = ep.filter_step(belief, g, params, state.x)
+    # both outcomes occur along this trajectory
+    assert any(converged) and not all(converged)
 
 
 def test_solve_affine_edge_costs_reach_analytic_optimum():
@@ -302,3 +314,179 @@ def test_solve_affine_edge_costs_reach_analytic_optimum():
     assert lhs == pytest.approx(0.5, abs=1e-6)
     assert dec.objective_value == pytest.approx(1.25, abs=1e-6)
     assert dec.delta_c[1] == 1.0
+
+
+# -- structured Newton step -----------------------------------------------------
+
+NEWTON_COSTS = [None, ep.PowerCost(2.0),
+                ep.PiecewiseLinearCost((0.0, 0.5, 1.0), (0.0, 0.2, 1.0))]
+
+
+def _model_at_interior_point(seed, edge_cost):
+    """Compiled constraint, costs and a strictly feasible interior point."""
+    g, o, x, belief, rng = _random_setup(seed, n=9, p=0.35)
+    spec = ep.ControlSpec(r=0.6, edge_cost=edge_cost)
+    n, m = g.node_count, len(g.edges)
+    dlo, dhi = control._resolve_bounds(spec.delta_c_bounds, n, "delta_c")
+    glo, ghi = control._resolve_bounds(spec.gamma_bounds, m, "gamma", positive_lo=True)
+    model = control._ConstraintModel(x, belief, spec, g, o, dlo, dhi, glo, ghi)
+    lo = np.concatenate([dlo[model.coupled_delta], glo[model.coupled_gamma]])
+    hi = np.concatenate([dhi[model.coupled_delta], ghi[model.coupled_gamma]])
+    corner = np.concatenate([dlo[model.coupled_delta], ghi[model.coupled_gamma]])
+    if model.coupled_gamma.size == 0 or model.value(corner) >= -1e-3:
+        return None
+    z = lo + (hi - lo) * (0.1 + 0.8 * rng.uniforms(model.dim))
+    while model.value(z) >= -1e-4:
+        z = corner + 0.5 * (z - corner)
+    z = np.clip(z, lo + 1e-3, hi - 1e-3)
+    if model.value(z) >= 0.0:
+        return None
+    costs = control._CostArray(
+        [spec.resolved_node_costs(g)[i] for i in model.coupled_delta]
+        + [spec.resolved_edge_costs(g)[e] for e in model.coupled_gamma])
+    return model, costs, z, lo, hi, rng
+
+
+def _dense_constraint_hessian(model, z):
+    """Expand the model's per-target-node blocks into a dense matrix."""
+    dense = np.zeros((model.dim, model.dim))
+    flat = model.hess(z)
+    for size, var, span in model._groups:
+        for k, block in enumerate(flat[span].reshape(-1, size, size)):
+            first = var.start + k * size
+            dense[first:first + size, first:first + size] = block
+    return dense
+
+
+@pytest.mark.parametrize("edge_cost", NEWTON_COSTS)
+def test_block_hessian_matches_gradient_differences(edge_cost):
+    checked = 0
+    for seed in range(30):
+        inst = _model_at_interior_point(seed, edge_cost)
+        if inst is None:
+            continue
+        model, _, z, _, _, rng = inst
+        v = rng.uniforms(model.dim) - 0.5
+        h = 1e-5
+        want = (model.grad(z + h * v) - model.grad(z - h * v)) / (2.0 * h)
+        got = _dense_constraint_hessian(model, z) @ v
+        assert np.abs(got - want).max() <= 1e-6 * max(1.0, np.abs(want).max())
+        checked += 1
+    assert checked >= 10
+
+
+@pytest.mark.parametrize("edge_cost", NEWTON_COSTS)
+def test_structured_newton_step_matches_dense_solve(edge_cost):
+    checked = 0
+    for seed in range(30):
+        inst = _model_at_interior_point(seed, edge_cost)
+        if inst is None:
+            continue
+        model, costs, z, lo, hi, _ = inst
+        t = 10.0
+        c = model.value(z)
+        cg = model.grad(z)
+        g0 = t * costs.slope(z) - 1.0 / (z - lo) + 1.0 / (hi - z)
+        diag = (t * np.maximum(costs.curvature(z), 0.0)
+                + 1.0 / (z - lo) ** 2 + 1.0 / (hi - z) ** 2)
+        dense = (_dense_constraint_hessian(model, z) / (-c)
+                 + np.outer(cg, cg) / (c * c) + np.diag(diag))
+        want = np.linalg.solve(dense, -(g0 + cg / (-c)))
+        got = model.newton_step(z, c, cg, diag, g0)
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+        checked += 1
+    assert checked >= 10
+
+
+# -- optimality on small convex instances ------------------------------------------
+
+def _grid_minimum(x, belief, spec, g, o, node, edges, points=21, rounds=14):
+    """Least objective over feasible points of a zooming grid on ``gamma[edges]``.
+
+    ``node``'s retention variable is the only other variable the constraint
+    touches.  The constraint is affine in it, so for each grid point it takes
+    its cost-minimal value among those that keep the constraint satisfied;
+    every other variable takes its cost-minimal box value.
+    """
+    n, m = g.node_count, len(g.edges)
+    dlo, dhi = control._resolve_bounds(spec.delta_c_bounds, n, "delta_c")
+    glo, ghi = control._resolve_bounds(spec.gamma_bounds, m, "gamma")
+    node_costs, edge_costs = spec.resolved_node_costs(g), spec.resolved_edge_costs(g)
+    dc = np.array([c.box_argmin(a, b) for c, a, b in zip(node_costs, dlo, dhi)])
+    gamma = np.array([c.box_argmin(a, b) for c, a, b in zip(edge_costs, glo, ghi)])
+    slope = belief.xhat[node]
+    box_lo, box_hi = glo[edges], ghi[edges]
+    best, best_point = np.inf, None
+    for _ in range(rounds):
+        axes = [np.linspace(a, b, points) for a, b in zip(box_lo, box_hi)]
+        for point in np.stack(np.meshgrid(*axes), axis=-1).reshape(-1, len(edges)):
+            gamma[edges] = point
+            dc[node] = dlo[node]
+            gap = ep.constraint_value(x, belief, dc, gamma, spec, g, o)
+            top = dlo[node] - gap / slope
+            if top < dlo[node]:
+                continue
+            dc[node] = node_costs[node].box_argmin(dlo[node], min(dhi[node], top))
+            value = (sum(c.value(v) for c, v in zip(node_costs, dc))
+                     + sum(c.value(v) for c, v in zip(edge_costs, gamma)))
+            if value < best:
+                best, best_point = value, point.copy()
+        width = 2.0 * (box_hi - box_lo) / (points - 1)
+        box_lo = np.maximum(glo[edges], best_point - width)
+        box_hi = np.minimum(ghi[edges], best_point + width)
+    return best
+
+
+def _optimality_instances():
+    """Covered instances with one coupled retention and at most two survival variables."""
+    out = []
+    g = ep.SpreadingGraph(2, ((0, 1),))
+    out.append((g, ep.ObserverSet.from_members(2, [0, 1]), [1, 0], [1.0, 0.0], None, 0, [0]))
+    g = ep.SpreadingGraph(3, ((0, 1), (0, 2)))
+    out.append((g, ep.ObserverSet.from_members(3, [0, 1, 2]), [1, 0, 0], [1.0, 0.0, 0.0],
+                None, 0, [0, 1]))
+    # two infected sources into one target: one 2 x 2 Hessian block
+    g = ep.SpreadingGraph(3, ((0, 2), (1, 2)))
+    pin = ((0.0, 1.0), (0.3, 0.3), (0.0, 1.0))
+    out.append((g, ep.ObserverSet.from_members(3, [0, 1, 2]), [1, 1, 0], [1.0, 1.0, 0.0],
+                pin, 0, [0, 1]))
+    # the target's second in-neighbor is unobserved: a belief-weighted term
+    out.append((g, ep.ObserverSet.from_members(3, [0, 2]), [1, 0, 0], [1.0, 0.4, 0.0],
+                pin, 0, [0, 1]))
+    return out
+
+
+@pytest.mark.parametrize("edge_cost", [ep.PowerCost(2.0), ep.PowerCost(1.5, 2.0),
+                                       ep.AffineCost(1.0, 0.0)])
+@pytest.mark.parametrize("case", range(4))
+def test_solve_matches_grid_minimum_for_convex_costs(edge_cost, case):
+    g, o, x, xhat, pin, node, edges = _optimality_instances()[case]
+    x = np.array(x, dtype=np.uint8)
+    belief = _belief_for(g, o, np.array(xhat), x)
+    bounds = pin if pin is not None else (0.0, 1.0)
+    spec = ep.ControlSpec(r=0.5, w=g.d_max + 1.0, delta_c_bounds=bounds,
+                          edge_cost=edge_cost)
+    dec = ep.solve(x, belief, spec, g, o)
+    assert dec.solver_diagnostics.mode == "barrier"
+    assert dec.constraint_slack >= -1e-6
+    best = _grid_minimum(x, belief, spec, g, o, node, edges)
+    assert abs(dec.objective_value - best) <= 1e-6
+
+
+def test_solve_sparse_2000_heavy_state_certified():
+    # a heavy decision on a sparse 2000-node graph: one step after an
+    # all-infected start, most nodes carry survival-product terms
+    n = 2000
+    g = ep.generate_er_graph(n, 3.0 / (n - 1), 7)
+    o = ep.approx_min_cover(ep.moralize(g))
+    spec = ep.ControlSpec(r=0.8)
+    rng = ep.RngStream((7, 1))
+    state = ep.ProcessState(np.ones(n, dtype=np.uint8))
+    belief = ep.initial_belief(g, o, np.ones(n), state.x)
+    dec = ep.solve(state.x, belief, spec, g, o)
+    params = ep.SISParams(dec.delta_star, dec.beta_star)
+    state = ep.step(g, params, state, rng)
+    belief = ep.filter_step(belief, g, params, state.x)
+    dec = ep.solve(state.x, belief, spec, g, o)
+    assert dec.solver_diagnostics.mode == "barrier"
+    assert dec.constraint_slack >= -1e-6

@@ -108,11 +108,16 @@ def test_workers_do_not_change_results():
 
 
 def test_model_errors_carry_replication_context():
-    cfg = small_config(control=ep.ControlSpec(
-        r=0.7, delta_c_bounds=(0.9, 0.9), gamma_bounds=(0.5, 0.5)))
-    with pytest.raises(ep.Infeasible) as err:
-        ep.run_closed_loop(cfg)
-    assert "replication" in str(err.value)
+    for workers in (1, 2):
+        cfg = small_config(control=ep.ControlSpec(
+            r=0.7, delta_c_bounds=(0.9, 0.9), gamma_bounds=(0.5, 0.5)),
+            workers=workers)
+        with pytest.raises(ep.Infeasible) as err:
+            ep.run_closed_loop(cfg)
+        assert str(err.value).startswith("replication 0, step 0: decay constraint")
+        # the re-raise keeps the error's fields, not only its class: all
+        # eight nodes start infected with retention pinned at 0.9
+        assert err.value.min_lhs == pytest.approx(0.9 * 8)
 
 
 # -- emit / read round trip -------------------------------------------------------
