@@ -30,7 +30,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import CoverViolation, Infeasible, SolverFailure
+from .errors import Infeasible, SolverFailure
 from .filtering import BeliefState, predict_all
 from .graphs import ObserverSet, SpreadingGraph, _frozen, unobserved_in_neighbor
 from .simulate import SISParams
@@ -285,18 +285,11 @@ def transformed_infection_prob(i: int, X_obs, belief: BeliefState, gamma,
             slog += math.log(gamma[eid])
     slog /= w
     one_minus_q = -math.expm1(slog)
-    if o.mask[i]:
-        jp = unobserved_in_neighbor(g, o, i)
-        if jp is None:
-            return one_minus_q
-        lq = math.log(gamma[g.edge_index[(jp, i)]]) / w
-        return one_minus_q + math.exp(slog) * float(belief.xhat[jp]) * (-math.expm1(lq))
-    for j in g.in_neighbors[i]:
-        if not o.mask[j]:
-            raise CoverViolation(
-                f"unobserved node {i} has unobserved in-neighbor {int(j)}; "
-                f"observer set is not a cover", node=i)
-    return one_minus_q
+    jp = unobserved_in_neighbor(g, o, i)
+    if jp is None:
+        return one_minus_q
+    lq = math.log(gamma[g.edge_index[(jp, i)]]) / w
+    return one_minus_q + math.exp(slog) * float(belief.xhat[jp]) * (-math.expm1(lq))
 
 
 def constraint_value(X_obs, belief: BeliefState, delta_c, gamma,
@@ -352,15 +345,7 @@ class _ConstraintModel:
         psi_b, psi_a, psi_s_sets, psi_ep = [], [], [], []
         terms = []  # (coef, member edge ids)
         for i in range(n):
-            if o.mask[i]:
-                jp = unobserved_in_neighbor(g, o, i)
-            else:
-                jp = None
-                for j in g.in_neighbors[i]:
-                    if not o.mask[j]:
-                        raise CoverViolation(
-                            f"unobserved node {i} has unobserved in-neighbor "
-                            f"{int(j)}; observer set is not a cover", node=i)
+            jp = unobserved_in_neighbor(g, o, i)
             if b[i] <= floor:
                 continue
             s_ids = [int(eid) for j, eid in zip(g.in_neighbors[i], g.in_edge_ids[i])

@@ -19,6 +19,14 @@ two most recent observation slices:
 Out-neighbors that were infected at the previous step transition on their
 own healing draw and therefore carry no evidence about i; they are excluded
 from the evidence sets by construction.
+
+Updates and forecasts are whole-graph kernels: segmented products over the
+graph's CSR layout, each multiplied in the order the per-node formula
+states, so every entry has the rounding of that formula.  Node i's update
+touches at most d_in(i) + d_out(i)·d_max edges; a whole update is O(n + m)
+plus one stable sort of the evidence edges.  The per-node functions index
+the kernels' results, so they raise if the observer set fails the cover
+anywhere the kernel reads.
 """
 from __future__ import annotations
 
@@ -27,25 +35,26 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import CoverViolation, DegenerateEvidence
-from .graphs import ObserverSet, SpreadingGraph, _frozen, unobserved_in_neighbor
+from .errors import DegenerateEvidence
+from .graphs import (ObserverSet, SpreadingGraph, _frozen, _offsets,
+                     segment_products, unobserved_in_neighbor)
 from .simulate import SISParams
 
 
+@dataclass
 class TouchCounter:
-    """Counts per-edge arithmetic touches for complexity instrumentation."""
+    """Counts per-edge arithmetic touches of node updates (see ``_touches``)."""
 
-    def __init__(self):
-        self.touches = 0
-        self.calls = 0
-        self.max_per_call = 0
+    touches: int = 0
+    calls: int = 0
+    max_per_call: int = 0
 
-    def add(self, k: int = 1):
-        self.touches += k
-
-    def note_call(self, touches_in_call: int):
-        self.calls += 1
-        self.max_per_call = max(self.max_per_call, touches_in_call)
+    def note_calls(self, touches_per_call) -> None:
+        """Record one node update per entry, each touching that many edges."""
+        per_call = np.asarray(touches_per_call, dtype=np.int64)
+        self.touches += int(per_call.sum())
+        self.calls += per_call.size
+        self.max_per_call = max(self.max_per_call, int(per_call.max(initial=0)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,11 +80,9 @@ class BeliefState:
             raise ValueError("belief length does not match the observer mask")
         if xhat.min() < 0.0 or xhat.max() > 1.0:
             raise ValueError("belief entries must lie in [0, 1]")
-        if self.obs_cur is not None:
-            obs = np.asarray(self.obs_cur)
-            mask = self.observers.mask
-            if not np.array_equal(xhat[mask], obs[mask].astype(np.float64)):
-                raise ValueError("observed entries of the belief must equal the observation")
+        mask = self.observers.mask
+        if self.obs_cur is not None and not (xhat[mask] == np.asarray(self.obs_cur)[mask]).all():
+            raise ValueError("observed entries of the belief must equal the observation")
         object.__setattr__(self, "xhat", _frozen(xhat))
 
 
@@ -111,14 +118,10 @@ def initial_belief(g: SpreadingGraph, observers: ObserverSet, prior,
 
 def evidence_sets(g: SpreadingGraph, o: ObserverSet, i: int, prev_obs,
                   cur_obs) -> EvidenceSets:
-    healthy_again, newly_infected = [], []
-    for k in g.out_neighbors[int(i)]:
-        k = int(k)
-        if not o.mask[k] or prev_obs[k] != 0:
-            continue
-        (newly_infected if cur_obs[k] else healthy_again).append(k)
-    return EvidenceSets(np.array(healthy_again, dtype=np.int64),
-                        np.array(newly_infected, dtype=np.int64))
+    k = g.out_neighbors[int(i)]
+    k = k[o.mask[k] & (np.asarray(prev_obs)[k] == 0)]
+    newly = np.asarray(cur_obs)[k] != 0
+    return EvidenceSets(k[~newly], k[newly])
 
 
 def infer_observed(i: int, obs) -> float:
@@ -126,43 +129,96 @@ def infer_observed(i: int, obs) -> float:
     return float(obs)
 
 
+def _check_cover(g: SpreadingGraph, o: ObserverSet, allowed) -> None:
+    """Raise at the first node with more unobserved in-neighbors than ``allowed``."""
+    hidden_in = np.bincount(g.targets[~o.mask[g.sources]], minlength=g.node_count)
+    bad = (hidden_in > allowed).nonzero()[0]
+    if bad.size:
+        unobserved_in_neighbor(g, o, bad[0])   # raises: bad[0] breaks the cover
+
+
+def _evidence_edges(g: SpreadingGraph, mask, prev_obs) -> np.ndarray:
+    """Ids of edges (i, k): i unobserved, k observed and susceptible last step."""
+    k = g.targets
+    return (~mask[g.sources] & mask[k] & (prev_obs[k] == 0)).nonzero()[0]
+
+
+def _touches(g: SpreadingGraph, mask, prev_obs) -> np.ndarray:
+    """Per node: in-edges touched by its pressure and its evidence nodes' likelihoods."""
+    ev = _evidence_edges(g, mask, prev_obs)
+    d_in = np.diff(g.in_ptr)
+    return d_in + np.bincount(g.sources[ev], d_in[g.targets[ev]], g.node_count).astype(np.int64)
+
+
+def _evidence(g: SpreadingGraph, o: ObserverSet, beta, prev_obs, cur_obs):
+    """Whole-graph evidence kernel: per node ``(survival, L1, L0)``.
+
+    ``survival`` multiplies a node's observed in-edges in source order: the
+    infection pressure complement of an unobserved node, and ``p_k`` of an
+    evidence node k, whose one unobserved in-neighbor enters as exactly 1.0.
+    Per unobserved node, L1/L0 multiply over its ``healthy_again`` group and
+    then its ``newly_infected`` group, each in target order; nodes without
+    evidence get (1, 1).
+    """
+    n, mask = g.node_count, o.mask
+    # evidence nodes (observed, susceptible last step) allow one unobserved
+    # in-neighbor, other observed nodes any number, unobserved nodes none
+    _check_cover(g, o, mask * (1 + n * (prev_obs != 0)))
+    survival = segment_products(
+        np.where(mask[g.in_src], 1.0 - beta[g.in_eid] * prev_obs[g.in_src], 1.0),
+        g.in_ptr)
+    ev = _evidence_edges(g, mask, prev_obs)
+    src, k = g.sources[ev], g.targets[ev]
+    newly = cur_obs[k] != 0
+    order = (2 * src + newly).argsort(kind="stable")
+    ev, k, newly = ev[order], k[order], newly[order]
+    p_k = survival[k]
+    kept = (1.0 - beta[ev]) * p_k
+    ptr = _offsets(src, n)
+    l1 = segment_products(np.where(newly, 1.0 - kept, kept), ptr)
+    l0 = segment_products(np.where(newly, 1.0 - p_k, p_k), ptr)
+    return survival, l1, l0
+
+
 def likelihoods(g: SpreadingGraph, o: ObserverSet, prev_params: SISParams,
                 prev_obs, cur_obs, i: int,
                 counter: Optional[TouchCounter] = None):
-    """Evidence likelihoods under both hypotheses about node i's last compartment.
+    """Evidence likelihoods under both hypotheses about unobserved node i's last compartment.
 
     Returns ``(L1, L0)``: the probability of the observed transitions of the
     evidence set given that i was infected (L1) or susceptible (L0) at the
     previous step.  Empty evidence gives (1, 1).
     """
     i = int(i)
-    ev = evidence_sets(g, o, i, prev_obs, cur_obs)
-    beta = prev_params.beta
-    l1 = 1.0
-    l0 = 1.0
-    for group, infected_now in ((ev.healthy_again, False), (ev.newly_infected, True)):
-        for k in group:
-            k = int(k)
-            beta_ik = beta[g.edge_index[(i, k)]]
-            p_k = 1.0
-            for j, eid in zip(g.in_neighbors[k], g.in_edge_ids[k]):
-                if counter is not None:
-                    counter.add()
-                j = int(j)
-                if j == i:
-                    continue
-                if not o.mask[j]:
-                    raise CoverViolation(
-                        f"evidence node {k} has unobserved in-neighbor {j} "
-                        f"besides {i}; observer set is not a cover", node=k)
-                p_k *= 1.0 - beta[eid] * prev_obs[j]
-            if infected_now:
-                l1 *= 1.0 - (1.0 - beta_ik) * p_k
-                l0 *= 1.0 - p_k
-            else:
-                l1 *= (1.0 - beta_ik) * p_k
-                l0 *= p_k
-    return l1, l0
+    if o.mask[i]:
+        raise ValueError(f"node {i} is observed; evidence concerns unobserved nodes")
+    prev_obs, cur_obs = np.asarray(prev_obs), np.asarray(cur_obs)
+    _, l1, l0 = _evidence(g, o, prev_params.beta, prev_obs, cur_obs)
+    if counter is not None:
+        counter.touches += int(_touches(g, o.mask, prev_obs)[i] - len(g.in_neighbors[i]))
+    return float(l1[i]), float(l0[i])
+
+
+def _posterior(belief_prev: BeliefState, g: SpreadingGraph, params: SISParams,
+               prev_obs, cur_obs, checked) -> np.ndarray:
+    """Whole-graph Bayes update: the next belief vector.
+
+    Raises at the first ``checked`` node whose evidence has probability 0
+    under both hypotheses (its update is 0/0).
+    """
+    o = belief_prev.observers
+    survival, l1, l0 = _evidence(g, o, params.beta, prev_obs, cur_obs)
+    p = belief_prev.xhat
+    # observed nodes have no evidence, so their denominator is p + (1 - p)
+    denominator = l1 * p + l0 * (1.0 - p)
+    numerator = (1.0 - params.delta) * l1 * p + (1.0 - survival) * l0 * (1.0 - p)
+    impossible = ((denominator == 0.0) & checked).nonzero()[0]
+    if impossible.size:
+        raise DegenerateEvidence(
+            f"observed outcome has probability 0 under the model while "
+            f"updating node {impossible[0]}", node=int(impossible[0]))
+    with np.errstate(invalid="ignore"):
+        return np.where(o.mask, cur_obs, numerator / denominator)
 
 
 def infer_unobserved(i: int, belief_prev: BeliefState, g: SpreadingGraph,
@@ -170,90 +226,61 @@ def infer_unobserved(i: int, belief_prev: BeliefState, g: SpreadingGraph,
                      counter: Optional[TouchCounter] = None) -> float:
     """Bayes update of an unobserved node's infection probability.
 
-    Cost is a constant multiple of the squared maximum in-degree: one pass
-    over i's in-edges for the infection pressure, plus one pass over the
-    in-edges of each evidence node.
+    The prior belief is pushed through healing and infection pressure and
+    reweighted by the evidence likelihoods.  Returns node i's entry of the
+    whole-graph update; ``counter`` is charged node i's touches only.
     """
     i = int(i)
     o = belief_prev.observers
     if o.mask[i]:
         raise ValueError(f"node {i} is observed; use infer_observed")
-    touches_before = counter.touches if counter is not None else 0
-    survival = 1.0
-    for j, eid in zip(g.in_neighbors[i], g.in_edge_ids[i]):
-        if counter is not None:
-            counter.add()
-        j = int(j)
-        if not o.mask[j]:
-            raise CoverViolation(
-                f"unobserved node {i} has unobserved in-neighbor {j}; "
-                f"observer set is not a cover", node=i)
-        survival *= 1.0 - prev_params.beta[eid] * prev_obs[j]
-    q_inf = 1.0 - survival
-    l1, l0 = likelihoods(g, o, prev_params, prev_obs, cur_obs, i, counter)
-    p = float(belief_prev.xhat[i])
-    denominator = l1 * p + l0 * (1.0 - p)
-    if denominator < 1e-12:
-        raise DegenerateEvidence(
-            f"observed outcome has probability {denominator:.3e} under the "
-            f"model while updating node {i}", node=i)
-    numerator = (1.0 - prev_params.delta[i]) * l1 * p + q_inf * l0 * (1.0 - p)
+    prev_obs, cur_obs = np.asarray(prev_obs), np.asarray(cur_obs)
+    xhat = _posterior(belief_prev, g, prev_params, prev_obs, cur_obs,
+                      np.arange(g.node_count) == i)
     if counter is not None:
-        counter.note_call(counter.touches - touches_before)
-    return numerator / denominator
+        counter.note_calls(_touches(g, o.mask, prev_obs)[[i]])
+    return float(xhat[i])
+
+
+def predict_all(belief: BeliefState, g: SpreadingGraph, params: SISParams,
+                cur_obs) -> np.ndarray:
+    """Vector of next-step infection probabilities for every node.
+
+    An observed node stands at its observation and an unobserved node at its
+    belief.  Survival multiplies a node's in-edges in source order, except
+    that an observed node's one unobserved in-edge multiplies first.
+    """
+    mask = belief.observers.mask
+    _check_cover(g, belief.observers, mask)
+    v = np.where(mask, np.asarray(cur_obs), belief.xhat)
+    factors = 1.0 - params.beta[g.in_eid] * v[g.in_src]
+    # an observed node's one unobserved in-edge multiplies first: take it out
+    # of its place and fold it into the first factor of the node's segment
+    hidden = (~mask[g.in_src]).nonzero()[0]
+    lead = factors[hidden]
+    factors[hidden] = 1.0
+    first = g.in_ptr[g.targets[g.in_eid[hidden]]]
+    factors[first] = lead * factors[first]
+    survival = segment_products(factors, g.in_ptr)
+    return v * (1.0 - params.delta) + (1.0 - survival) * (1.0 - v)
 
 
 def predict_observed(i: int, belief: BeliefState, g: SpreadingGraph,
                      params: SISParams, cur_obs) -> float:
     """Next-step infection probability of an observed node under chosen params."""
     i = int(i)
-    o = belief.observers
-    if not o.mask[i]:
+    if not belief.observers.mask[i]:
         raise ValueError(f"node {i} is unobserved; use predict_unobserved")
-    x_i = float(cur_obs[i])
-    jp = unobserved_in_neighbor(g, o, i)
-    factor = 1.0
-    if jp is not None:
-        beta_jp = params.beta[g.edge_index[(jp, i)]]
-        factor = 1.0 - beta_jp * float(belief.xhat[jp])
-    survival = factor
-    for j, eid in zip(g.in_neighbors[i], g.in_edge_ids[i]):
-        j = int(j)
-        if not o.mask[j]:
-            continue
-        survival *= 1.0 - params.beta[eid] * cur_obs[j]
-    return x_i * (1.0 - params.delta[i]) + (1.0 - x_i) * (1.0 - survival)
+    return float(predict_all(belief, g, params, cur_obs)[i])
 
 
 def predict_unobserved(i: int, belief: BeliefState, g: SpreadingGraph,
                        params: SISParams, cur_obs) -> float:
     """Next-step infection probability of an unobserved node under chosen params."""
     i = int(i)
-    o = belief.observers
-    if o.mask[i]:
+    if belief.observers.mask[i]:
         raise ValueError(f"node {i} is observed; use predict_observed")
-    survival = 1.0
-    for j, eid in zip(g.in_neighbors[i], g.in_edge_ids[i]):
-        j = int(j)
-        if not o.mask[j]:
-            raise CoverViolation(
-                f"unobserved node {i} has unobserved in-neighbor {j}; "
-                f"observer set is not a cover", node=i)
-        survival *= 1.0 - params.beta[eid] * cur_obs[j]
-    p = float(belief.xhat[i])
-    return (1.0 - params.delta[i]) * p + (1.0 - survival) * (1.0 - p)
-
-
-def predict_all(belief: BeliefState, g: SpreadingGraph, params: SISParams,
-                cur_obs) -> np.ndarray:
-    """Vector of next-step infection probabilities for every node."""
-    out = np.empty(g.node_count)
-    for i in range(g.node_count):
-        if belief.observers.mask[i]:
-            out[i] = predict_observed(i, belief, g, params, cur_obs)
-        else:
-            out[i] = predict_unobserved(i, belief, g, params, cur_obs)
-    return out
+    return float(predict_all(belief, g, params, cur_obs)[i])
 
 
 def filter_step(belief_prev: BeliefState, g: SpreadingGraph,
@@ -271,14 +298,10 @@ def filter_step(belief_prev: BeliefState, g: SpreadingGraph,
         raise ValueError("previous belief carries no observation slice")
     prev_params.validate_for(g)
     o = belief_prev.observers
-    prev_obs = belief_prev.obs_cur
-    xhat = np.empty(g.node_count)
-    for i in range(g.node_count):
-        if o.mask[i]:
-            xhat[i] = infer_observed(i, new_obs[i])
-        else:
-            xhat[i] = infer_unobserved(i, belief_prev, g, prev_params,
-                                       prev_obs, new_obs, counter)
+    prev_obs = np.asarray(belief_prev.obs_cur)
+    xhat = _posterior(belief_prev, g, prev_params, prev_obs, new_obs, ~o.mask)
+    if counter is not None:
+        counter.note_calls(_touches(g, o.mask, prev_obs)[~o.mask])
     return BeliefState(xhat=xhat, observers=o,
                        time_index=belief_prev.time_index + 1,
                        last_params=prev_params, obs_prev=prev_obs,

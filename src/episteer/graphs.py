@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 from typing import Iterable, Optional
 
 import numpy as np
@@ -21,36 +22,58 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _checked_edges(n: int, edges):
+    """Yield each edge as an int pair; reject self-loops and ids outside ``0..n-1``."""
+    if n < 1:
+        raise ValueError("node_count must be positive")
+    for e in edges:
+        j, i = int(e[0]), int(e[1])
+        if j == i:
+            raise ValueError(f"self-loop on node {j}")
+        if not (0 <= j < n and 0 <= i < n):
+            raise ValueError(f"edge ({j}, {i}) outside node range 0..{n - 1}")
+        yield j, i
+
+
+def _offsets(keys: np.ndarray, n: int) -> np.ndarray:
+    """CSR offsets of sorted ``keys`` in ``0..n-1``: key v spans ``[ptr[v], ptr[v+1])``."""
+    return _frozen(np.concatenate(([0], np.bincount(keys, minlength=n).cumsum())))
+
+
+def segment_products(values: np.ndarray, ptr: np.ndarray) -> np.ndarray:
+    """Product of ``values[ptr[v]:ptr[v+1]]`` for each v; empty segments give 1.
+
+    Each segment multiplies sequentially in array order, so a segment's
+    result has the rounding of the equivalent left-to-right scalar loop.
+    """
+    starts = ptr[:-1]
+    filled = starts < ptr[1:]
+    out = np.ones(starts.size)
+    out[filled] = np.multiply.reduceat(values, starts[filled])
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class SpreadingGraph:
-    """Directed graph with per-node in/out adjacency indexes.
+    """Directed graph with one compiled CSR adjacency.
 
     ``edges`` is canonicalized to a lexicographically sorted tuple; this
     order also defines the layout of per-edge parameter arrays elsewhere.
+    In-edges are compiled once, sorted by (target, source); the per-node
+    tuple views below derive from the same arrays.
     """
 
     node_count: int
     edges: tuple
 
     def __post_init__(self):
-        n = int(self.node_count)
-        if n < 1:
-            raise ValueError("node_count must be positive")
-        object.__setattr__(self, "node_count", n)
-        canon = []
+        object.__setattr__(self, "node_count", int(self.node_count))
         seen = set()
-        for e in self.edges:
-            j, i = int(e[0]), int(e[1])
-            if j == i:
-                raise ValueError(f"self-loop on node {j}")
-            if not (0 <= j < n and 0 <= i < n):
-                raise ValueError(f"edge ({j}, {i}) outside node range 0..{n - 1}")
-            if (j, i) in seen:
-                raise ValueError(f"duplicate edge ({j}, {i})")
-            seen.add((j, i))
-            canon.append((j, i))
-        canon.sort()
-        object.__setattr__(self, "edges", tuple(canon))
+        for e in _checked_edges(self.node_count, self.edges):
+            if e in seen:
+                raise ValueError(f"duplicate edge {e}")
+            seen.add(e)
+        object.__setattr__(self, "edges", tuple(sorted(seen)))
 
     @cached_property
     def edge_index(self) -> dict:
@@ -58,33 +81,47 @@ class SpreadingGraph:
         return {e: k for k, e in enumerate(self.edges)}
 
     @cached_property
+    def sources(self) -> np.ndarray:
+        """Edge sources in canonical order: each node's out-edges form one run."""
+        return _frozen(np.array([j for j, _ in self.edges], dtype=np.int64))
+
+    @cached_property
+    def targets(self) -> np.ndarray:
+        return _frozen(np.array([i for _, i in self.edges], dtype=np.int64))
+
+    @cached_property
+    def in_ptr(self) -> np.ndarray:
+        """In-CSR offsets: node i's in-edges sit at ``in_ptr[i]:in_ptr[i+1]``."""
+        return _offsets(self.targets, self.node_count)
+
+    @cached_property
+    def in_eid(self) -> np.ndarray:
+        """In-CSR edge ids, sorted by (target, source)."""
+        return _frozen(np.argsort(self.targets, kind="stable"))
+
+    @cached_property
+    def in_src(self) -> np.ndarray:
+        return _frozen(self.sources[self.in_eid])
+
+    @cached_property
     def in_neighbors(self) -> tuple:
-        """``in_neighbors[i]``: array of sources j with an edge (j, i)."""
-        nbrs = [[] for _ in range(self.node_count)]
-        for j, i in self.edges:
-            nbrs[i].append(j)
-        return tuple(_frozen(np.array(v, dtype=np.int64)) for v in nbrs)
+        """``in_neighbors[i]``: array of sources j with an edge (j, i), ascending."""
+        return tuple(np.split(self.in_src, self.in_ptr[1:-1]))
 
     @cached_property
     def out_neighbors(self) -> tuple:
-        """``out_neighbors[j]``: array of targets i with an edge (j, i)."""
-        nbrs = [[] for _ in range(self.node_count)]
-        for j, i in self.edges:
-            nbrs[j].append(i)
-        return tuple(_frozen(np.array(v, dtype=np.int64)) for v in nbrs)
+        """``out_neighbors[j]``: array of targets i with an edge (j, i), ascending."""
+        return tuple(np.split(self.targets, _offsets(self.sources, self.node_count)[1:-1]))
 
     @cached_property
     def in_edge_ids(self) -> tuple:
         """``in_edge_ids[i]``: edge ids of (j, i), aligned with ``in_neighbors[i]``."""
-        ids = [[] for _ in range(self.node_count)]
-        for k, (j, i) in enumerate(self.edges):
-            ids[i].append(k)
-        return tuple(_frozen(np.array(v, dtype=np.int64)) for v in ids)
+        return tuple(np.split(self.in_eid, self.in_ptr[1:-1]))
 
     @cached_property
     def d_max(self) -> int:
         """Maximum in-degree over all nodes."""
-        return max(len(v) for v in self.in_neighbors)
+        return int(np.diff(self.in_ptr).max())
 
     def __repr__(self):
         return f"SpreadingGraph(n={self.node_count}, edges={len(self.edges)})"
@@ -98,17 +135,7 @@ class MoralGraph:
     edges: tuple
 
     def __post_init__(self):
-        n = int(self.node_count)
-        if n < 1:
-            raise ValueError("node_count must be positive")
-        canon = set()
-        for e in self.edges:
-            u, v = int(e[0]), int(e[1])
-            if u == v:
-                raise ValueError(f"self-loop on node {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) outside node range 0..{n - 1}")
-            canon.add((min(u, v), max(u, v)))
+        canon = {(min(e), max(e)) for e in _checked_edges(int(self.node_count), self.edges)}
         object.__setattr__(self, "edges", tuple(sorted(canon)))
 
     def __repr__(self):
@@ -160,15 +187,9 @@ def moralize(g: SpreadingGraph) -> MoralGraph:
     Two distinct nodes become adjacent when one transmits to the other, or
     when both transmit to a common target.
     """
-    pairs = set()
-    for j, i in g.edges:
-        pairs.add((min(j, i), max(j, i)))
-    for k in range(g.node_count):
-        parents = g.in_neighbors[k]
-        for a in range(len(parents)):
-            for b in range(a + 1, len(parents)):
-                u, v = int(parents[a]), int(parents[b])
-                pairs.add((min(u, v), max(u, v)))
+    pairs = {(min(j, i), max(j, i)) for j, i in g.edges}
+    for parents in g.in_neighbors:
+        pairs.update(combinations(parents.tolist(), 2))   # ascending, so u < v
     return MoralGraph(g.node_count, tuple(sorted(pairs)))
 
 
@@ -195,21 +216,15 @@ def approx_min_cover(m: MoralGraph) -> ObserverSet:
 
 
 def unobserved_in_neighbor(g: SpreadingGraph, o: ObserverSet, i) -> Optional[int]:
-    """The unique unobserved in-neighbor of observed node ``i``, if any.
+    """The unobserved in-neighbor of node ``i`` that a cover allows, if any.
 
-    When the observer set covers the moralized graph, an observed node can
-    have at most one unobserved in-neighbor; finding two means the cover
-    precondition was violated.
+    When the observer set covers the moralized graph, an observed node has
+    at most one unobserved in-neighbor and an unobserved node has none;
+    anything more means the cover precondition was violated.
     """
     i = int(i)
-    found = None
-    for j in g.in_neighbors[i]:
-        if not o.mask[j]:
-            if found is not None:
-                raise CoverViolation(
-                    f"node {i} has at least two unobserved in-neighbors "
-                    f"({found} and {int(j)}); observer set is not a cover",
-                    node=i,
-                )
-            found = int(j)
-    return found
+    hidden = g.in_neighbors[i][~o.mask[g.in_neighbors[i]]]
+    if hidden.size > o.mask[i]:
+        raise CoverViolation(f"node {i} has unobserved in-neighbors {hidden.tolist()}; "
+                             f"observer set is not a cover", node=i)
+    return int(hidden[0]) if hidden.size else None

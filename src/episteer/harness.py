@@ -24,13 +24,15 @@ from .graphs import (ObserverSet, SpreadingGraph, approx_min_cover,
 from .simulate import ProcessState, RngStream, SISParams, step
 
 _FLOAT_FMT = "%.17g"
+_ER_CHUNK = 1 << 18            # uniforms per draw: 2 MB, whatever n is
 
 
 def generate_er_graph(n: int, p: float, seed) -> SpreadingGraph:
     """Directed Erdős–Rényi graph: each ordered pair independently with probability p.
 
-    Deterministic for a fixed seed; pairs are visited in lexicographic order
-    with one uniform draw each.
+    Deterministic for a fixed seed; pairs (j, i), i != j, are visited in
+    lexicographic order with one uniform draw each, drawn in fixed-size
+    chunks so memory stays O(chunk + edges).
     """
     n = int(n)
     if n < 1:
@@ -38,17 +40,12 @@ def generate_er_graph(n: int, p: float, seed) -> SpreadingGraph:
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
     rng = RngStream(seed)
-    u = rng.uniforms(n * (n - 1))
-    edges = []
-    k = 0
-    for j in range(n):
-        for i in range(n):
-            if i == j:
-                continue
-            if u[k] < p:
-                edges.append((j, i))
-            k += 1
-    return SpreadingGraph(n, tuple(edges))
+    total = n * (n - 1)
+    hits = [start + np.flatnonzero(rng.uniforms(min(_ER_CHUNK, total - start)) < p)
+            for start in range(0, total, _ER_CHUNK)]
+    # hit k is pair (j, i): j = k // (n - 1), i skips the diagonal
+    j, r = np.divmod(np.concatenate([np.zeros(0, dtype=np.int64)] + hits), n - 1)
+    return SpreadingGraph(n, tuple(zip(j.tolist(), (r + (r >= j)).tolist())))
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,8 @@ Per step, an infected node heals with its per-node healing probability; a
 susceptible node becomes infected unless every infected in-neighbor's
 transmission attempt fails independently.  One uniform draw is consumed per
 node, in node-index order, so trajectories are bit-reproducible for a fixed
-seed.
+seed.  A step is one whole-graph kernel over the graph's CSR in-adjacency:
+O(n + m) work, with each node's survival product taken in source order.
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ from typing import Mapping, Sequence, Union
 
 import numpy as np
 
-from .graphs import SpreadingGraph, _frozen
+from .graphs import SpreadingGraph, _frozen, segment_products
 
 
 @dataclass(frozen=True, eq=False)
@@ -27,7 +28,7 @@ class ProcessState:
         x = np.asarray(self.x)
         if x.ndim != 1:
             raise ValueError("state must be a 1-d vector")
-        if not np.isin(x, (0, 1)).all():
+        if not ((x == 0) | (x == 1)).all():
             raise ValueError("state entries must be 0 or 1")
         object.__setattr__(self, "x", _frozen(x.astype(np.uint8)))
         object.__setattr__(self, "time_index", int(self.time_index))
@@ -69,9 +70,7 @@ class SISParams:
         """Build from a {(source, target): probability} mapping keyed exactly by E."""
         if set(beta_map) != set(g.edges):
             raise ValueError("beta map keys must be exactly the graph's edge set")
-        beta = np.empty(len(g.edges))
-        for e, k in g.edge_index.items():
-            beta[k] = beta_map[e]
+        beta = np.array([beta_map[e] for e in g.edges], dtype=np.float64)
         delta = np.broadcast_to(np.asarray(delta, dtype=np.float64), (g.node_count,))
         return cls(delta.copy(), beta)
 
@@ -97,18 +96,18 @@ class RngStream:
         return self._gen.random(int(k))
 
 
+def _survival(g: SpreadingGraph, beta: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Per node: probability that no infected in-neighbor transmits (in source order)."""
+    return segment_products(1.0 - beta[g.in_eid] * x[g.in_src], g.in_ptr)
+
+
 def infection_survival_prob(g: SpreadingGraph, params: SISParams,
                             state: ProcessState, i) -> float:
     """Probability susceptible node i escapes infection this step.
 
     Product of per-in-edge survival factors; empty product is 1.
     """
-    i = int(i)
-    nbrs = g.in_neighbors[i]
-    if len(nbrs) == 0:
-        return 1.0
-    factors = 1.0 - params.beta[g.in_edge_ids[i]] * state.x[nbrs]
-    return float(np.prod(factors))
+    return float(_survival(g, params.beta, state.x)[int(i)])
 
 
 def step(g: SpreadingGraph, params: SISParams, state: ProcessState,
@@ -119,18 +118,11 @@ def step(g: SpreadingGraph, params: SISParams, state: ProcessState,
     its conditional next-step infection probability given the current state.
     """
     params.validate_for(g)
-    n = g.node_count
-    if state.x.size != n:
+    if state.x.size != g.node_count:
         raise ValueError("state length does not match the graph")
-    x = state.x
-    p_next = np.empty(n)
-    for i in range(n):
-        if x[i]:
-            p_next[i] = 1.0 - params.delta[i]
-        else:
-            p_next[i] = 1.0 - infection_survival_prob(g, params, state, i)
-    u = rng.uniforms(n)
-    return ProcessState((u < p_next).astype(np.uint8), state.time_index + 1)
+    p_next = np.where(state.x, 1.0 - params.delta, 1.0 - _survival(g, params.beta, state.x))
+    return ProcessState((rng.uniforms(g.node_count) < p_next).astype(np.uint8),
+                        state.time_index + 1)
 
 
 def sample_trajectory(g: SpreadingGraph,

@@ -95,3 +95,67 @@ def evidence_likelihoods_by_enumeration(g, o, prior, params, prev_obs, cur_obs, 
         else:
             out.append(1.0)
     return tuple(out)
+
+
+# -- per-node reference loops --------------------------------------------------
+# Scalar transcriptions of the update and forecast formulas, one node at a
+# time, with products taken in the documented order.  The whole-graph kernels
+# must reproduce them bit for bit.
+
+def _product(factors) -> float:
+    out = 1.0
+    for f in factors:
+        out *= f
+    return out
+
+
+def next_infection_probs_by_loop(g, params, x) -> np.ndarray:
+    out = np.empty(g.node_count)
+    for i in range(g.node_count):
+        survival = _product(1.0 - params.beta[e] * x[j]
+                            for j, e in zip(g.in_neighbors[i], g.in_edge_ids[i]))
+        out[i] = 1.0 - params.delta[i] if x[i] else 1.0 - survival
+    return out
+
+
+def posterior_by_loop(belief, g, params, prev_obs, cur_obs) -> np.ndarray:
+    """Bayes update per unobserved node; evidence groups healthy-then-newly."""
+    mask = belief.observers.mask
+    beta = params.beta
+    xhat = np.asarray(cur_obs, dtype=np.float64).copy()
+    for i in np.flatnonzero(~mask):
+        survival = _product(1.0 - beta[e] * prev_obs[j]
+                            for j, e in zip(g.in_neighbors[i], g.in_edge_ids[i]))
+        ev = ep.evidence_sets(g, belief.observers, i, prev_obs, cur_obs)
+        l1 = l0 = 1.0
+        for group, infected_now in ((ev.healthy_again, False), (ev.newly_infected, True)):
+            for k in group:
+                beta_ik = beta[g.edge_index[(i, int(k))]]
+                p_k = _product(1.0 - beta[e] * prev_obs[j]
+                               for j, e in zip(g.in_neighbors[k], g.in_edge_ids[k])
+                               if j != i)
+                if infected_now:
+                    l1 *= 1.0 - (1.0 - beta_ik) * p_k
+                    l0 *= 1.0 - p_k
+                else:
+                    l1 *= (1.0 - beta_ik) * p_k
+                    l0 *= p_k
+        p = float(belief.xhat[i])
+        xhat[i] = (((1.0 - params.delta[i]) * l1 * p + (1.0 - survival) * l0 * (1.0 - p))
+                   / (l1 * p + l0 * (1.0 - p)))
+    return xhat
+
+
+def forecast_by_loop(belief, g, params, cur_obs) -> np.ndarray:
+    """One-step forecast; an observed node's unobserved in-edge multiplies first."""
+    mask = belief.observers.mask
+    out = np.empty(g.node_count)
+    for i in range(g.node_count):
+        x_i = float(cur_obs[i]) if mask[i] else float(belief.xhat[i])
+        hidden = [1.0 - params.beta[e] * float(belief.xhat[j])
+                  for j, e in zip(g.in_neighbors[i], g.in_edge_ids[i]) if not mask[j]]
+        seen = [1.0 - params.beta[e] * cur_obs[j]
+                for j, e in zip(g.in_neighbors[i], g.in_edge_ids[i]) if mask[j]]
+        survival = _product(hidden + seen)
+        out[i] = x_i * (1.0 - params.delta[i]) + (1.0 - x_i) * (1.0 - survival)
+    return out

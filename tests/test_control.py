@@ -222,6 +222,20 @@ def test_solve_infeasible_reports_minimal_lhs():
     assert err.value.min_lhs == pytest.approx(0.5)
 
 
+def test_solve_rejects_observers_that_are_not_a_cover():
+    # unobserved node 1 has the unobserved in-neighbor 0
+    g = ep.SpreadingGraph(3, ((0, 1), (2, 0)))
+    o = ep.ObserverSet.from_members(3, [2])
+    x = np.zeros(3, dtype=np.uint8)
+    belief = _belief_for(g, o, np.full(3, 0.5), x)
+    spec = ep.ControlSpec(r=0.8)
+    with pytest.raises(ep.CoverViolation) as err:
+        ep.solve(x, belief, spec, g, o)
+    assert err.value.node == 1
+    with pytest.raises(ep.CoverViolation):
+        ep.transformed_infection_prob(1, x, belief, np.ones(2), spec, g, o)
+
+
 def test_solve_pinned_bounds_full_suppression():
     g, o = random_covered_instance(3, 6, 0.4)
     x = np.ones(6, dtype=np.uint8)

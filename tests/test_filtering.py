@@ -1,10 +1,16 @@
+import hashlib
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 import episteer as ep
+from episteer.filtering import _evidence
+from episteer.simulate import _survival
 from _support import (evidence_likelihoods_by_enumeration,
-                      random_covered_instance, random_interior_params,
-                      run_oracle_equivalence)
+                      forecast_by_loop, next_infection_probs_by_loop,
+                      posterior_by_loop, random_covered_instance,
+                      random_interior_params, run_oracle_equivalence)
 
 
 def test_infer_observed_returns_observation():
@@ -120,6 +126,54 @@ def test_degenerate_evidence_raises():
         ep.infer_unobserved(0, belief, g, params, np.array([1, 0]),
                             np.array([1, 0]))
     assert err.value.node == 0
+    with pytest.raises(ep.DegenerateEvidence) as err:
+        ep.filter_step(belief, g, params, np.array([1, 0]))
+    assert err.value.node == 0
+
+
+def _hub_step(leaves, seed):
+    """Hub 0 -> leaves 1..leaves, observed infected attacker -> hub; one step.
+
+    Everything but the hub is observed; the hub starts infected with belief
+    0.5, every leaf susceptible, beta = 0.5 and delta = 0.3 everywhere.
+    """
+    n = leaves + 2
+    attacker = n - 1
+    edges = tuple((0, k) for k in range(1, leaves + 1)) + ((attacker, 0),)
+    g = ep.SpreadingGraph(n, edges)
+    o = ep.ObserverSet.from_members(n, range(1, n))
+    params = ep.SISParams.constant(g, 0.3, 0.5)
+    x0 = np.zeros(n, dtype=np.uint8)
+    x0[[0, attacker]] = 1
+    belief = ep.initial_belief(g, o, 0.5, x0)
+    x1 = ep.step(g, params, ep.ProcessState(x0), ep.RngStream(seed)).x
+    return g, o, params, belief, x1
+
+
+def test_hub_evidence_does_not_raise_and_matches_bayes_rule():
+    # out-degree 60: the evidence likelihood is ~0.5**60, far below any
+    # absolute threshold, yet perfectly possible
+    g, o, params, belief, x1 = _hub_step(60, 3)
+    newly = int(x1[1:61].sum())
+    assert 0 < newly < 60
+    got = ep.filter_step(belief, g, params, x1).xhat[0]
+    half, keep = Fraction(1, 2), 1 - Fraction(0.3)
+    l1 = half ** 60                  # each leaf: infected w.p. 1/2, or not
+    l0 = Fraction(0)                 # a susceptible hub infects no leaf
+    q = half                         # the infected attacker's pressure
+    want = (keep * l1 * half + q * l0 * half) / (l1 * half + l0 * half)
+    assert got == pytest.approx(float(want), rel=1e-12)
+
+
+def test_star_with_out_degree_1000_gives_a_posterior():
+    g, o, params, belief, x1 = _hub_step(1000, 4)
+    post = ep.filter_step(belief, g, params, x1).xhat[0]
+    assert np.isfinite(post) and 0.0 <= post <= 1.0
+
+
+def _violates_cover(g, o, node):
+    hidden = [j for j in g.in_neighbors[node] if j not in o]
+    return len(hidden) > (1 if node in o else 0)
 
 
 def test_cover_violation_propagates_node_id():
@@ -128,9 +182,39 @@ def test_cover_violation_propagates_node_id():
     o = ep.ObserverSet.from_members(4, [2, 3])
     belief = ep.initial_belief(g, o, np.full(4, 0.5), np.zeros(4, dtype=np.uint8))
     params = ep.SISParams.constant(g, 0.3, 0.3)
+    obs = np.array([0, 0, 1, 0], dtype=np.uint8)
     with pytest.raises(ep.CoverViolation) as err:
-        ep.filter_step(belief, g, params, np.array([0, 0, 1, 0], dtype=np.uint8))
-    assert err.value.node is not None
+        ep.filter_step(belief, g, params, obs)
+    assert _violates_cover(g, o, err.value.node)
+    with pytest.raises(ep.CoverViolation) as err:
+        ep.predict_all(belief, g, params, obs)
+    assert _violates_cover(g, o, err.value.node)
+    # an unobserved node with an unobserved in-neighbor
+    g = ep.SpreadingGraph(3, ((0, 1), (2, 0)))
+    o = ep.ObserverSet.from_members(3, [2])
+    belief = ep.initial_belief(g, o, np.full(3, 0.5), np.zeros(3, dtype=np.uint8))
+    params = ep.SISParams.constant(g, 0.3, 0.3)
+    for call in (lambda: ep.filter_step(belief, g, params, np.zeros(3)),
+                 lambda: ep.predict_all(belief, g, params, np.zeros(3))):
+        with pytest.raises(ep.CoverViolation) as err:
+            call()
+        assert err.value.node == 1 and _violates_cover(g, o, 1)
+
+
+def test_role_checks():
+    g = ep.SpreadingGraph(2, ((1, 0),))
+    o = ep.ObserverSet.from_members(2, [1])
+    obs = np.array([0, 1])
+    belief = ep.BeliefState(xhat=np.array([0.5, 1.0]), observers=o, obs_cur=obs)
+    params = ep.SISParams.constant(g, 0.3, 0.3)
+    with pytest.raises(ValueError):
+        ep.infer_unobserved(1, belief, g, params, obs, obs)
+    with pytest.raises(ValueError):
+        ep.likelihoods(g, o, params, obs, obs, 1)
+    with pytest.raises(ValueError):
+        ep.predict_observed(0, belief, g, params, obs)
+    with pytest.raises(ValueError):
+        ep.predict_unobserved(1, belief, g, params, obs)
 
 
 def test_predict_observed_cases():
@@ -220,6 +304,105 @@ def test_touch_counter_bounds_update_cost():
     run_oracle_equivalence(g, o, 4, 15, counter=counter)
     assert counter.calls > 0
     assert counter.max_per_call <= 4 * g.d_max ** 2
+
+
+def test_touch_counter_counts_structurally():
+    # per unobserved node: its in-degree plus its evidence nodes' in-degrees
+    total_calls = 0
+    for seed in range(8):
+        n = 30 + 10 * seed
+        g, o = random_covered_instance(seed, n, 1.5 / n)
+        counter = ep.TouchCounter()
+        touches, calls, worst = 0, 0, 0
+        rng = ep.RngStream((seed, 31))
+        state = ep.ProcessState((rng.uniforms(n) < 0.5).astype(np.uint8))
+        belief = ep.initial_belief(g, o, 0.5, state.x)
+        for _ in range(6):
+            params = random_interior_params(g, rng)
+            prev = state.x
+            state = ep.step(g, params, state, rng)
+            for i in np.flatnonzero(~o.mask):
+                ev = ep.evidence_sets(g, o, i, prev, state.x)
+                t = len(g.in_neighbors[i]) + sum(len(g.in_neighbors[k])
+                                                 for k in ev.all_members)
+                touches, calls, worst = touches + t, calls + 1, max(worst, t)
+            belief = ep.filter_step(belief, g, params, state.x, counter)
+        assert (counter.touches, counter.calls, counter.max_per_call) == (
+            touches, calls, worst)
+        total_calls += calls
+    assert total_calls > 200
+
+
+def _trajectory(seed, n, steps):
+    """(g, o, params, state, next state, belief, next belief) along a random run."""
+    g, o = random_covered_instance(seed, n, min(0.6, 4.0 / n))
+    rng = ep.RngStream((seed, 21))
+    state = ep.ProcessState((rng.uniforms(n) < 0.5).astype(np.uint8))
+    belief = ep.initial_belief(g, o, 0.1 + 0.8 * rng.uniforms(n), state.x)
+    for _ in range(steps):
+        params = random_interior_params(g, rng)
+        nxt = ep.step(g, params, state, rng)
+        nxt_belief = ep.filter_step(belief, g, params, nxt.x)
+        yield g, o, params, state, nxt, belief, nxt_belief
+        state, belief = nxt, nxt_belief
+
+
+def test_kernels_match_per_node_loops_bit_for_bit():
+    mixed = 0   # updates whose evidence has both groups, so the order matters
+    for seed in range(16):
+        n = 4 + 5 * (seed % 8)
+        for g, o, params, state, nxt, belief, nxt_belief in _trajectory(seed, n, 15):
+            p_next = next_infection_probs_by_loop(g, params, state.x)
+            assert np.array_equal(
+                ep.step(g, params, state, ep.RngStream((seed, 0))).x,
+                (ep.RngStream((seed, 0)).uniforms(n) < p_next).astype(np.uint8))
+            want = posterior_by_loop(belief, g, params, state.x, nxt.x)
+            assert np.array_equal(nxt_belief.xhat, want)
+            assert np.array_equal(ep.predict_all(nxt_belief, g, params, nxt.x),
+                                  forecast_by_loop(nxt_belief, g, params, nxt.x))
+            for i in np.flatnonzero(~o.mask):
+                ev = ep.evidence_sets(g, o, i, state.x, nxt.x)
+                mixed += bool(ev.healthy_again.size and ev.newly_infected.size)
+    assert mixed >= 20
+
+
+def test_scalar_functions_are_kernel_entries():
+    for seed in range(6):
+        for g, o, params, state, nxt, belief, nxt_belief in _trajectory(seed, 12 + seed, 5):
+            survival = _survival(g, params.beta, nxt.x)
+            _, l1, l0 = _evidence(g, o, params.beta, state.x, nxt.x)
+            forecast = ep.predict_all(nxt_belief, g, params, nxt.x)
+            for i in range(g.node_count):
+                assert ep.infection_survival_prob(g, params, nxt, i) == survival[i]
+                if i in o:
+                    assert ep.predict_observed(i, nxt_belief, g, params, nxt.x) == forecast[i]
+                    continue
+                assert ep.predict_unobserved(i, nxt_belief, g, params, nxt.x) == forecast[i]
+                assert ep.likelihoods(g, o, params, state.x, nxt.x, i) == (l1[i], l0[i])
+                assert ep.infer_unobserved(i, belief, g, params, state.x,
+                                           nxt.x) == nxt_belief.xhat[i]
+
+
+def test_open_loop_digest_is_pinned():
+    # 30 steps of step/filter_step/predict_all on a sparse 300-node graph;
+    # the digest was recorded with the per-node loop implementation
+    n = 300
+    g = ep.generate_er_graph(n, 3.0 / (n - 1), 7)
+    o = ep.approx_min_cover(ep.moralize(g))
+    u = ep.RngStream((7, 1)).uniforms(n + len(g.edges))
+    params = ep.SISParams(0.2 + 0.2 * u[:n], 0.1 + 0.2 * u[n:])
+    rng = ep.RngStream(2024)
+    state = ep.ProcessState((rng.uniforms(n) < 0.3).astype(np.uint8))
+    belief = ep.initial_belief(g, o, np.full(n, 0.3), state.x)
+    digest = hashlib.sha256()
+    for _ in range(30):
+        state = ep.step(g, params, state, rng)
+        belief = ep.filter_step(belief, g, params, state.x)
+        forecast = ep.predict_all(belief, g, params, state.x)
+        for arr in (state.x, belief.xhat, forecast):
+            digest.update(arr.tobytes())
+    assert digest.hexdigest() == (
+        "976ff250278227142219cadad5f43462288a6911a1747b19ea18954c10af19ca")
 
 
 def test_belief_state_validation():

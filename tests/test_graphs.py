@@ -179,6 +179,11 @@ def test_unobserved_in_neighbor_cover_violation():
     assert not ep.is_vertex_cover(ep.moralize(g), o)
     with pytest.raises(ep.CoverViolation):
         ep.unobserved_in_neighbor(g, o, 3)
+    # an unobserved node may not have any unobserved in-neighbor
+    o = ep.ObserverSet.from_members(4, [1])
+    with pytest.raises(ep.CoverViolation) as err:
+        ep.unobserved_in_neighbor(g, o, 3)
+    assert err.value.node == 3
 
 
 def test_observer_set_basics():

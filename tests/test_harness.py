@@ -33,6 +33,42 @@ def test_er_graph_seed_determinism():
     assert a.edges != c.edges
 
 
+def _er_by_double_loop(n, p, seed):
+    """Reference generator: one draw per ordered pair, all drawn at once."""
+    rng = ep.RngStream(seed)
+    u = rng.uniforms(n * (n - 1))
+    edges = []
+    k = 0
+    for j in range(n):
+        for i in range(n):
+            if i == j:
+                continue
+            if u[k] < p:
+                edges.append((j, i))
+            k += 1
+    return tuple(edges), rng.draws_consumed
+
+
+@pytest.mark.parametrize("chunk", [None, 5])
+def test_er_graph_chunks_match_double_loop(chunk, monkeypatch):
+    streams = []
+
+    class Recording(ep.RngStream):
+        def __init__(self, seed):
+            super().__init__(seed)
+            streams.append(self)
+
+    monkeypatch.setattr(ep.harness, "RngStream", Recording)
+    if chunk is not None:   # many chunks, with boundaries inside a row
+        monkeypatch.setattr(ep.harness, "_ER_CHUNK", chunk)
+    for n in (1, 2, 7, 40):
+        for p in (0.0, 0.3, 1.0):
+            for seed in (0, 5, (9, 2)):
+                want, draws = _er_by_double_loop(n, p, seed)
+                assert ep.generate_er_graph(n, p, seed).edges == want
+                assert streams[-1].draws_consumed == draws
+
+
 def test_er_graph_validation():
     with pytest.raises(ValueError):
         ep.generate_er_graph(0, 0.5, 1)
