@@ -9,10 +9,8 @@ from .control import (AffineCost, ControlDecision, ControlSpec, CostTerm,
 from .errors import (ConfigError, CoverViolation, DegenerateEvidence,
                      Infeasible, ModelError, SolverFailure,
                      ZeroProbabilityEvidence)
-from .filtering import (BeliefState, EvidenceSets, TouchCounter, evidence_sets,
-                        filter_step, infer_observed, infer_unobserved,
-                        initial_belief, likelihoods, predict_all,
-                        predict_observed, predict_unobserved)
+from .filtering import (BeliefState, TouchCounter, filter_step, initial_belief,
+                        predict_all)
 from .graphs import (MoralGraph, ObserverSet, SpreadingGraph, approx_min_cover,
                      is_vertex_cover, moralize, unobserved_in_neighbor)
 from .harness import (ExperimentConfig, RunRecord, config_from_dict, emit,
@@ -21,7 +19,6 @@ from .harness import (ExperimentConfig, RunRecord, config_from_dict, emit,
 from .oracle import (JointBelief, bits_matrix, condition_on_observation,
                      from_marginal_probs, joint_pushforward, marginals,
                      point_mass, product_of_marginals_distance, state_index)
-from .simulate import (ProcessState, RngStream, SISParams,
-                       infection_survival_prob, sample_trajectory, step)
+from .simulate import ProcessState, RngStream, SISParams, sample_trajectory, step
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -32,48 +32,45 @@ import numpy as np
 
 from .errors import Infeasible, SolverFailure
 from .filtering import BeliefState, predict_all
-from .graphs import ObserverSet, SpreadingGraph, _frozen, unobserved_in_neighbor
+from .graphs import (ObserverSet, SpreadingGraph, _frozen, observation_plan,
+                     require_cover)
 from .simulate import SISParams
 
 DUALITY_TARGET = 1e-8
 SLACK_TOLERANCE = 1e-6
+_GAP_ROUNDING = 1e4 * np.finfo(float).eps
 
 
 # ---------------------------------------------------------------------------
 # cost descriptors
 
 class CostTerm:
-    """One-dimensional cost of a single transformed decision variable."""
+    """One-dimensional cost of a single transformed decision variable.
+
+    The formulas live in :class:`_CostArray`; a scalar method evaluates a
+    one-entry table.
+    """
 
     def value(self, z: float) -> float:
-        raise NotImplementedError
+        return float(_CostArray([self]).values(np.array([z], float))[0])
 
     def slope(self, z: float) -> float:
-        raise NotImplementedError
+        return float(_CostArray([self]).slope(np.array([z], float))[0])
 
     def curvature(self, z: float) -> float:
-        raise NotImplementedError
+        return float(_CostArray([self]).curvature(np.array([z], float))[0])
 
     def box_argmin(self, lo: float, hi: float) -> float:
-        raise NotImplementedError
+        return float(_CostArray([self]).box_argmin(np.array([lo], float),
+                                                   np.array([hi], float))[0])
 
 
 @dataclass(frozen=True)
 class AffineCost(CostTerm):
+    """``slope_coef * z + intercept``."""
+
     slope_coef: float
     intercept: float = 0.0
-
-    def value(self, z):
-        return self.slope_coef * z + self.intercept
-
-    def slope(self, z):
-        return self.slope_coef
-
-    def curvature(self, z):
-        return 0.0
-
-    def box_argmin(self, lo, hi):
-        return lo if self.slope_coef >= 0.0 else hi
 
 
 @dataclass(frozen=True)
@@ -86,18 +83,6 @@ class PowerCost(CostTerm):
     def __post_init__(self):
         if not self.exponent > 0.0:
             raise ValueError("power cost exponent must be positive")
-
-    def value(self, z):
-        return self.scale * z ** self.exponent
-
-    def slope(self, z):
-        return self.scale * self.exponent * z ** (self.exponent - 1.0)
-
-    def curvature(self, z):
-        return self.scale * self.exponent * (self.exponent - 1.0) * z ** (self.exponent - 2.0)
-
-    def box_argmin(self, lo, hi):
-        return lo if self.scale >= 0.0 else hi
 
 
 @dataclass(frozen=True)
@@ -121,27 +106,79 @@ class PiecewiseLinearCost(CostTerm):
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ys", ys)
 
-    def _segment(self, z):
-        k = 0
-        while k < len(self.xs) - 2 and z >= self.xs[k + 1]:
-            k += 1
-        return k
 
-    def value(self, z):
-        return float(np.interp(z, self.xs, self.ys))
+class _CostArray:
+    """Value, slope, curvature and box minimizer over a vector of variables.
 
-    def slope(self, z):
-        k = self._segment(z)
-        return (self.ys[k + 1] - self.ys[k]) / (self.xs[k + 1] - self.xs[k])
+    The one home of every cost formula.  ``terms`` are distinct descriptors
+    and variable k's cost is ``terms[code[k]]``.  Affine and power costs are
+    rows ``scale * z**exponent + intercept`` of one table; a piecewise-linear
+    cost interpolates its breakpoints.
+    """
 
-    def curvature(self, z):
-        return 0.0
+    def __init__(self, costs, code=None):
+        if code is None:                 # one descriptor per variable
+            ids = np.fromiter(map(id, costs), np.int64, len(costs))
+            _, first, code = np.unique(ids, return_index=True, return_inverse=True)
+            costs = [costs[k] for k in first]
+        self.terms, self.code = costs, code
+        rows = np.zeros((len(costs), 3))
+        for t, c in enumerate(costs):
+            if isinstance(c, AffineCost):
+                rows[t] = (c.slope_coef, 1.0, c.intercept)
+            elif isinstance(c, PowerCost):
+                rows[t] = (c.scale, c.exponent, 0.0)
+            elif not isinstance(c, PiecewiseLinearCost):
+                raise TypeError(f"unsupported cost descriptor {c!r}")
+        pieces = np.array([isinstance(c, PiecewiseLinearCost) for c in costs], bool)
+        self.idx = np.flatnonzero(~pieces[code])
+        self.scale, self.exp, self.intercept = rows[code[self.idx]].T
+        self.pieces = [(np.array(c.xs), np.array(c.ys), sel) for t, c in enumerate(costs)
+                       if pieces[t] and (sel := np.flatnonzero(code == t)).size]
 
-    def box_argmin(self, lo, hi):
-        return min([lo] + [x for x in self.xs if lo < x < hi] + [hi], key=self.value)
+    def values(self, z) -> np.ndarray:
+        out = np.empty(z.size)
+        out[self.idx] = self.scale * z[self.idx] ** self.exp + self.intercept
+        for xs, ys, sel in self.pieces:
+            out[sel] = np.interp(z[sel], xs, ys)
+        return out
 
-    def domain_covers(self, lo, hi):
-        return self.xs[0] <= lo + 1e-12 and self.xs[-1] >= hi - 1e-12
+    def value(self, z) -> float:
+        return float(self.values(z).sum())
+
+    def running_total(self, z) -> float:
+        """The sum of the costs taken left to right, with a scalar loop's rounding."""
+        return float(np.cumsum(self.values(z))[-1]) if z.size else 0.0
+
+    def slope(self, z) -> np.ndarray:
+        out = np.empty(z.size)
+        out[self.idx] = self.scale * self.exp * z[self.idx] ** (self.exp - 1.0)
+        for xs, ys, sel in self.pieces:
+            k = np.clip(np.searchsorted(xs, z[sel], "right") - 1, 0, xs.size - 2)
+            out[sel] = (ys[k + 1] - ys[k]) / (xs[k + 1] - xs[k])
+        return out
+
+    def curvature(self, z) -> np.ndarray:
+        out = np.zeros(z.size)
+        out[self.idx] = (self.scale * self.exp * (self.exp - 1.0)
+                         * z[self.idx] ** (self.exp - 2.0))
+        return out
+
+    def box_argmin(self, lo, hi) -> np.ndarray:
+        """Per variable, its cost-minimal value in ``[lo, hi]``: the first on ties."""
+        out = np.empty(lo.size)
+        out[self.idx] = np.where(self.scale >= 0.0, lo[self.idx], hi[self.idx])
+        for xs, ys, sel in self.pieces:
+            a, b = lo[sel, None], hi[sel, None]
+            # candidates lo, the breakpoints inside (lo, hi), hi; others repeat lo
+            cand = np.hstack([a, np.where((a < xs) & (xs < b), xs, a), b])
+            out[sel] = cand[np.arange(sel.size), np.interp(cand, xs, ys).argmin(axis=1)]
+        return out
+
+    def spans(self, lo, hi) -> bool:
+        """Whether every piecewise-linear cost's breakpoints span its variables' boxes."""
+        return all(xs[0] <= lo[sel].min() + 1e-12 and xs[-1] >= hi[sel].max() - 1e-12
+                   for xs, _, sel in self.pieces)
 
 
 def default_node_cost() -> CostTerm:
@@ -268,28 +305,11 @@ def transformed_infection_prob(i: int, X_obs, belief: BeliefState, gamma,
 
     Convex in ``gamma`` whenever the transform exponent exceeds the maximum
     in-degree; agrees with the one-step predictors once the variables are
-    back-transformed.
+    back-transformed.  Node i's entry of the constraint's ψ.
     """
-    i = int(i)
-    w = spec.effective_w(g)
-    gamma = np.asarray(gamma, dtype=np.float64)
-    if gamma.size != len(g.edges):
-        raise ValueError("gamma length does not match the edge set")
-    if gamma.size and (gamma.min() <= 0.0 or gamma.max() > 1.0):
-        raise ValueError("gamma entries must lie in (0, 1]")
-    X_obs = np.asarray(X_obs)
-    slog = 0.0
-    for j, eid in zip(g.in_neighbors[i], g.in_edge_ids[i]):
-        j = int(j)
-        if o.mask[j] and X_obs[j]:
-            slog += math.log(gamma[eid])
-    slog /= w
-    one_minus_q = -math.expm1(slog)
-    jp = unobserved_in_neighbor(g, o, i)
-    if jp is None:
-        return one_minus_q
-    lq = math.log(gamma[g.edge_index[(jp, i)]]) / w
-    return one_minus_q + math.exp(slog) * float(belief.xhat[jp]) * (-math.expm1(lq))
+    n = g.node_count
+    con = _Constraint(X_obs, belief, spec, g, o, np.zeros(n), np.ones(n), keep_all=True)
+    return float(con.psi(_checked_gamma(gamma, g))[int(i)])
 
 
 def constraint_value(X_obs, belief: BeliefState, delta_c, gamma,
@@ -299,92 +319,135 @@ def constraint_value(X_obs, belief: BeliefState, delta_c, gamma,
 
     Negative values mean the candidate parameters are strictly feasible.
     """
-    X_obs = np.asarray(X_obs)
+    n = g.node_count
+    con = _Constraint(X_obs, belief, spec, g, o, np.zeros(n), np.ones(n))
     delta_c = np.asarray(delta_c, dtype=np.float64)
-    xhat = belief.xhat
-    lhs = 0.0
-    for i in range(g.node_count):
-        psi = transformed_infection_prob(i, X_obs, belief, gamma, spec, g, o)
-        if o.mask[i]:
-            lhs += delta_c[i] * X_obs[i] + psi * (1.0 - X_obs[i])
-        else:
-            lhs += delta_c[i] * xhat[i] + psi * (1.0 - xhat[i])
-    return lhs - spec.r * float(xhat.sum())
+    return con.gap(delta_c[con.coupled_delta], _checked_gamma(gamma, g))
+
+
+def _checked_gamma(gamma, g: SpreadingGraph) -> np.ndarray:
+    gamma = np.asarray(gamma, dtype=np.float64)
+    if gamma.size != len(g.edges):
+        raise ValueError("gamma length does not match the edge set")
+    if gamma.size and (gamma.min() <= 0.0 or gamma.max() > 1.0):
+        raise ValueError("gamma entries must lie in (0, 1]")
+    return gamma
 
 
 # ---------------------------------------------------------------------------
-# compiled constraint model for the barrier solver
+# the compiled constraint, and its model for the barrier solver
 
-class _ConstraintModel:
-    """Constraint evaluation over the coupled decision variables.
+class _Constraint:
+    """The decay constraint's value, compiled from the observation plan.
 
-    The decay constraint is an affine function of the retention variables
-    plus, per node, products of powered survival variables over the node's
-    infected observed in-neighbors (and its single unobserved in-neighbor,
-    weighted by that node's belief).  Values are computed in a cancellation-
-    free form so the constraint stays meaningful when beliefs are tiny;
-    gradients and Hessians come from the raw monomial terms.
+    The constraint is affine in the retention variables plus the sum of
+    b_i ψ_i, where b_i is the probability that node i is susceptible and ψ_i
+    its next-step infection probability, computed in a cancellation-free
+    form so that it stays meaningful when beliefs are tiny.  Nodes whose
+    term cannot move the constraint are left out unless ``keep_all``, which
+    indexes ``psi`` by node.
     """
 
-    def __init__(self, X_obs, belief, spec, g, o, dlo, dhi, glo, ghi):
-        n, m = g.node_count, len(g.edges)
-        w = spec.effective_w(g)
+    def __init__(self, X_obs, belief, spec, g, o, dlo, dhi, keep_all=False):
+        n = g.node_count
+        self.w = spec.effective_w(g)
+        plan = observation_plan(g, o)
+        require_cover(g, o, plan.violators)
         xhat = belief.xhat
         X = np.asarray(X_obs, dtype=np.float64)
         a = np.where(o.mask, X, xhat)
         b = np.where(o.mask, 1.0 - X, 1.0 - xhat)
-        infected_obs = o.mask & (X == 1.0)
-
-        d_pinned = (dhi - dlo) <= 0.0
-        g_pinned = (ghi - glo) <= 0.0
         self.r_total = spec.r * float(xhat.sum())
         # contributions this far below the constraint scale cannot move the
         # certified slack; dropping them keeps term products out of subnormals
-        floor = max(1e-280, self.r_total * 1e-30)
+        self._floor = -np.inf if keep_all else max(1e-280, self.r_total * 1e-30)
 
-        psi_b, psi_a, psi_s_sets, psi_ep = [], [], [], []
-        terms = []  # (coef, member edge ids)
-        for i in range(n):
-            jp = unobserved_in_neighbor(g, o, i)
-            if b[i] <= floor:
-                continue
-            s_ids = [int(eid) for j, eid in zip(g.in_neighbors[i], g.in_edge_ids[i])
-                     if infected_obs[j]]
-            a_i = float(xhat[jp]) if jp is not None else 0.0
-            if b[i] * a_i <= floor:
-                a_i = 0.0
-            ep = g.edge_index[(jp, i)] if jp is not None and a_i > 0.0 else -1
-            psi_b.append(float(b[i]))
-            psi_a.append(a_i)
-            psi_s_sets.append(np.array(s_ids, dtype=np.int64))
-            psi_ep.append(ep)
-            coef_b = b[i] * (1.0 - a_i)
-            if coef_b > floor and s_ids:
-                terms.append((float(coef_b), np.array(s_ids, dtype=np.int64)))
-            coef_a = b[i] * a_i
-            if coef_a > 0.0:
-                terms.append((float(coef_a),
-                              np.array(s_ids + [ep], dtype=np.int64)))
+        # per kept node in node order: its weight b, the belief a of its
+        # unobserved in-neighbor and that in-edge (-1 without one), and the
+        # in-edges of its infected observed in-neighbors in source order
+        hidden = plan.hidden_eid >= 0
+        a_in = np.zeros(n)
+        a_in[hidden] = xhat[g.sources[plan.hidden_eid[hidden]]]
+        a_in[b * a_in <= self._floor] = 0.0
+        keep = ~(b <= self._floor)
+        kept = np.flatnonzero(keep)
+        self.psi_s_concat = plan.seen_eid[keep[g.targets[plan.seen_eid]]
+                                          & (X[plan.seen_src] == 1.0)]
+        counts = np.bincount(g.targets[self.psi_s_concat], minlength=n)[kept]
+        self.psi_b = b[kept]
+        self.psi_a = a_in[kept]
+        self.psi_ep = np.where(hidden & (a_in > 0.0), plan.hidden_eid, -1)[kept]
+        self.psi_ends = np.cumsum(counts)
+        self.psi_starts = self.psi_ends - counts
+        self._has_ep = self.psi_a > 0.0
 
-        self.w = w
+        d_pinned = (dhi - dlo) <= 0.0
+        self.coupled_delta = np.flatnonzero((a > 0.0) & ~d_pinned)
+        self.n_cd = self.coupled_delta.size
+        self.a_coupled = a[self.coupled_delta].astype(np.float64)
+        self.const = float((a[d_pinned] * dlo[d_pinned]).sum())
 
-        # variable layout: coupled retention variables, then coupled survival
-        # variables.  Every term multiplies in-edges of one target node, so the
-        # constraint Hessian is block-diagonal by target node; survival
-        # variables go block by block, blocks sorted by size (one batch each).
-        self.coupled_delta = np.array(
-            [i for i in range(n) if a[i] > 0.0 and not d_pinned[i]], dtype=np.int64)
-        free = np.array(sorted({int(e) for _, ids in terms for e in ids
-                                if not g_pinned[e]}), dtype=np.int64)
-        target = np.array([g.edges[e][1] for e in free], dtype=np.int64)
+    def psi(self, gamma) -> np.ndarray:
+        """ψ per kept node at survival variables ``gamma`` (all edges)."""
+        logs = np.log(gamma)
+        seg = np.concatenate(([0.0], np.cumsum(logs[self.psi_s_concat])))
+        slog = (seg[self.psi_ends] - seg[self.psi_starts]) / self.w
+        vals = -np.expm1(slog)
+        if self._has_ep.any():
+            sel = self._has_ep
+            lq = logs[self.psi_ep[sel]] / self.w
+            vals[sel] += np.exp(slog[sel]) * self.psi_a[sel] * (-np.expm1(lq))
+        return vals
+
+    def gap(self, delta_c, gamma) -> float:
+        """The constraint at the coupled retention variables and all survival variables."""
+        total = self.const - self.r_total
+        if self.n_cd:
+            total += float(self.a_coupled @ delta_c)
+        if self.psi_b.size:
+            total += float(self.psi_b @ self.psi(gamma))
+        return total
+
+
+class _ConstraintModel(_Constraint):
+    """The constraint over the coupled decision variables, with derivatives.
+
+    Its variables are the coupled retention variables, then the coupled
+    survival variables.  Gradients and Hessians come from the raw monomial
+    terms ``b (1 - a) prod(gamma ** (1/w))`` and ``b a prod(gamma ** (1/w))``.
+    """
+
+    def __init__(self, X_obs, belief, spec, g, o, dlo, dhi, glo, ghi):
+        super().__init__(X_obs, belief, spec, g, o, dlo, dhi)
+        m, w = len(g.edges), self.w
+        g_pinned = (ghi - glo) <= 0.0
+        counts = self.psi_ends - self.psi_starts
+
+        # monomial terms, per kept node: ``b (1 - a)`` over its segment, then
+        # ``b a`` over its segment and its unobserved in-edge
+        coefs = np.stack((self.psi_b * (1.0 - self.psi_a), self.psi_b * self.psi_a), axis=1)
+        present = np.stack(((coefs[:, 0] > self._floor) & (counts > 0), coefs[:, 1] > 0.0),
+                           axis=1)
+        node, with_ep = present.nonzero()
+        self.term_coefs = coefs[present]
+        t_counts = counts[node] + with_ep
+        self.term_ends = np.cumsum(t_counts)
+        self.term_starts = self.term_ends - t_counts
+        t_of = np.repeat(np.arange(t_counts.size), t_counts)
+        # each segment, then its unobserved in-edge
+        ext = np.insert(self.psi_s_concat, self.psi_ends, self.psi_ep)
+        ext_start = (self.psi_starts + np.arange(counts.size))[node]
+        self.term_members = ext[ext_start[t_of] + np.arange(t_of.size) - self.term_starts[t_of]]
+
+        # Every term multiplies in-edges of one target node, so the constraint
+        # Hessian is block-diagonal by target node; survival variables go
+        # block by block, blocks sorted by size (one batch each).
+        free = np.flatnonzero(np.isin(np.arange(m), self.term_members) & ~g_pinned)
+        target = g.targets[free]
         _, block_of, sizes = np.unique(target, return_inverse=True, return_counts=True)
         order = np.lexsort((target, sizes[block_of]))
         self.coupled_gamma = free[order]
-        self.n_cd = self.coupled_delta.size
         self.dim = self.n_cd + self.coupled_gamma.size
-
-        self.a_coupled = a[self.coupled_delta].astype(np.float64)
-        self.const = float((a[d_pinned] * dlo[d_pinned]).sum())
 
         gamma_pos = np.full(m, -1, dtype=np.int64)
         gamma_pos[self.coupled_gamma] = self.n_cd + np.arange(self.coupled_gamma.size)
@@ -392,27 +455,9 @@ class _ConstraintModel:
         # gamma work vector: pinned edges fixed, unreferenced edges irrelevant
         self._gamma_work = np.where(g_pinned, glo, 1.0)
 
-        # flattened per-node survival-product segments for value evaluation
-        self.psi_b = np.array(psi_b)
-        self.psi_a = np.array(psi_a)
-        self.psi_ep = np.array(psi_ep, dtype=np.int64)
-        counts = np.array([ids.size for ids in psi_s_sets], dtype=np.int64)
-        self.psi_s_concat = (np.concatenate(psi_s_sets) if psi_s_sets
-                             else np.empty(0, dtype=np.int64))
-        self.psi_ends = np.cumsum(counts)
-        self.psi_starts = self.psi_ends - counts
-        self._has_ep = self.psi_a > 0.0
-
-        # flattened monomial terms for derivatives, and each coupled member's
-        # term, edge and variable position
-        self.term_coefs = np.array([c for c, _ in terms])
-        t_counts = np.array([ids.size for _, ids in terms], dtype=np.int64)
-        self.term_members = (np.concatenate([ids for _, ids in terms])
-                             if terms else np.empty(0, dtype=np.int64))
-        self.term_ends = np.cumsum(t_counts)
-        self.term_starts = self.term_ends - t_counts
+        # each coupled member's term, edge and variable position
         coupled = gamma_pos[self.term_members] >= 0
-        self._m_term = np.repeat(np.arange(t_counts.size), t_counts)[coupled]
+        self._m_term = t_of[coupled]
         self._m_edge = self.term_members[coupled]
         self._m_pos = gamma_pos[self._m_edge]
 
@@ -449,21 +494,7 @@ class _ConstraintModel:
         return gw
 
     def value(self, z) -> float:
-        gw = self._fill(z)
-        total = self.const - self.r_total
-        if self.n_cd:
-            total += float(self.a_coupled @ z[:self.n_cd])
-        if self.psi_b.size:
-            logs = np.log(gw)
-            seg = np.concatenate(([0.0], np.cumsum(logs[self.psi_s_concat])))
-            slog = (seg[self.psi_ends] - seg[self.psi_starts]) / self.w
-            vals = -np.expm1(slog)
-            if self._has_ep.any():
-                sel = self._has_ep
-                lq = logs[self.psi_ep[sel]] / self.w
-                vals[sel] += np.exp(slog[sel]) * self.psi_a[sel] * (-np.expm1(lq))
-            total += float(self.psi_b @ vals)
-        return total
+        return self.gap(z[:self.n_cd], self._fill(z))
 
     def _term_products(self, gw):
         logs = np.log(gw)
@@ -514,46 +545,6 @@ class _ConstraintModel:
         return step + y * ((c * c * nu + c - float(cg @ step)) / cy)
 
 
-class _CostArray:
-    """Vectorized value/slope/curvature over one variable block.
-
-    Affine and power costs are both ``scale * z**exponent + intercept``.
-    """
-
-    def __init__(self, costs):
-        self.count = len(costs)
-        table, self.other = [], []
-        for k, c in enumerate(costs):
-            if isinstance(c, AffineCost):
-                table.append((k, c.slope_coef, 1.0, c.intercept))
-            elif isinstance(c, PowerCost):
-                table.append((k, c.scale, c.exponent, 0.0))
-            else:
-                self.other.append((k, c))
-        table = np.array(table, dtype=np.float64).reshape(-1, 4)
-        self.idx = table[:, 0].astype(np.int64)
-        self.scale, self.exp, self.intercept = table[:, 1], table[:, 2], table[:, 3]
-
-    def value(self, z) -> float:
-        total = float((self.scale * z[self.idx] ** self.exp + self.intercept).sum())
-        return total + sum(c.value(z[k]) for k, c in self.other)
-
-    def slope(self, z) -> np.ndarray:
-        out = np.zeros(self.count)
-        out[self.idx] = self.scale * self.exp * z[self.idx] ** (self.exp - 1.0)
-        for k, c in self.other:
-            out[k] = c.slope(z[k])
-        return out
-
-    def curvature(self, z) -> np.ndarray:
-        out = np.zeros(self.count)
-        out[self.idx] = (self.scale * self.exp * (self.exp - 1.0)
-                         * z[self.idx] ** (self.exp - 2.0))
-        for k, c in self.other:
-            out[k] = c.curvature(z[k])
-        return out
-
-
 # ---------------------------------------------------------------------------
 # barrier solver
 
@@ -588,6 +579,12 @@ def _newton_stage(model, cost_arr, z, lo, hi, t, dec_tol=1e-11, max_iter=60):
         except np.linalg.LinAlgError as exc:
             raise SolverFailure(f"singular Newton system: {exc}") from exc
         gs = float(grad @ step)
+        if gs > 0.0 and -c <= _GAP_ROUNDING * model.r_total:
+            # the step divides by c and c**2, and c is at the rounding level
+            # of the constraint's value (10**4 machine epsilons of its scale
+            # r * sum(xhat)), so its sign is noise: the stage cannot move on,
+            # and the decrement at z is unknown
+            return z, iters, math.inf, False
         if not gs <= 0.0:
             raise SolverFailure(
                 f"Newton step is not a descent direction (slope {gs:.3e})")
@@ -689,19 +686,17 @@ def solve(X_obs, belief: BeliefState, spec: ControlSpec, g: SpreadingGraph,
     n, m = g.node_count, len(g.edges)
     dlo, dhi = _resolve_bounds(spec.delta_c_bounds, n, "delta_c")
     glo, ghi = _resolve_bounds(spec.gamma_bounds, m, "gamma", positive_lo=True)
-    node_costs = spec.resolved_node_costs(g)
-    edge_costs = spec.resolved_edge_costs(g)
-    for costs, lo, hi in ((node_costs, dlo, dhi), (edge_costs, glo, ghi)):
-        for k, c in enumerate(costs):
-            if isinstance(c, PiecewiseLinearCost) and not c.domain_covers(lo[k], hi[k]):
-                raise ValueError("piecewise-linear cost breakpoints must span the box")
+    node_costs = _CostArray(spec.resolved_node_costs(g))
+    edge_costs = _CostArray(spec.resolved_edge_costs(g))
+    if not (node_costs.spans(dlo, dhi) and edge_costs.spans(glo, ghi)):
+        raise ValueError("piecewise-linear cost breakpoints must span the box")
 
     model = _ConstraintModel(X_obs, belief, spec, g, o, dlo, dhi, glo, ghi)
 
     # variables outside the constraint take their cost-minimal box value,
     # pinned ones their only value
-    delta_c = np.array([c.box_argmin(a, b) for c, a, b in zip(node_costs, dlo, dhi)], float)
-    gamma = np.array([c.box_argmin(a, b) for c, a, b in zip(edge_costs, glo, ghi)], float)
+    delta_c = node_costs.box_argmin(dlo, dhi)
+    gamma = edge_costs.box_argmin(glo, ghi)
 
     lo = np.concatenate([dlo[model.coupled_delta], glo[model.coupled_gamma]])
     hi = np.concatenate([dhi[model.coupled_delta], ghi[model.coupled_gamma]])
@@ -717,9 +712,9 @@ def solve(X_obs, belief: BeliefState, spec: ControlSpec, g: SpreadingGraph,
         z = corner
         diagnostics = SolveDiagnostics(0, 0.0, 0, "corner", True)
     else:
-        cost_arr = _CostArray(
-            [node_costs[i] for i in model.coupled_delta]
-            + [edge_costs[e] for e in model.coupled_gamma])
+        cost_arr = _CostArray(node_costs.terms + edge_costs.terms, np.concatenate(
+            [node_costs.code[model.coupled_delta],
+             len(node_costs.terms) + edge_costs.code[model.coupled_gamma]]))
         z, diagnostics = _barrier_solve(model, cost_arr, lo, hi, corner, c_min)
 
     delta_c[model.coupled_delta] = z[:model.n_cd]
@@ -727,24 +722,20 @@ def solve(X_obs, belief: BeliefState, spec: ControlSpec, g: SpreadingGraph,
 
     def build_decision(dc, gm, diag):
         params = back_transform(dc, gm, spec, g)
-        objective = (sum(node_costs[i].value(dc[i]) for i in range(n))
-                     + sum(edge_costs[e].value(gm[e]) for e in range(m)))
-        predicted = predict_all(belief, g, params, X_obs)
-        slack = model.r_total - float(predicted.sum())
+        slack = model.r_total - float(predict_all(belief, g, params, X_obs).sum())
         return ControlDecision(
             delta_star=params.delta, beta_star=params.beta,
-            objective_value=float(objective), constraint_slack=float(slack),
-            solver_diagnostics=diag, delta_c=dc, gamma=gm), params
+            objective_value=node_costs.running_total(dc) + edge_costs.running_total(gm),
+            constraint_slack=float(slack), solver_diagnostics=diag, delta_c=dc, gamma=gm)
 
-    decision, _ = build_decision(delta_c, gamma, diagnostics)
+    decision = build_decision(delta_c, gamma, diagnostics)
 
     # with a nonconvex objective the barrier can settle on a stationary point
     # costlier than the always-feasible aggressive corner; never return it
-    fallback_obj = (sum(node_costs[i].value(dlo[i]) for i in range(n))
-                    + sum(edge_costs[e].value(ghi[e]) for e in range(m)))
+    fallback_obj = node_costs.running_total(dlo) + edge_costs.running_total(ghi)
     if decision.objective_value > fallback_obj + 1e-9:
-        decision, _ = build_decision(dlo.copy(), ghi.copy(),
-                                     replace(diagnostics, mode="fallback"))
+        decision = build_decision(dlo.copy(), ghi.copy(),
+                                  replace(diagnostics, mode="fallback"))
 
     if decision.constraint_slack < -SLACK_TOLERANCE:
         raise SolverFailure(

@@ -21,12 +21,11 @@ own healing draw and therefore carry no evidence about i; they are excluded
 from the evidence sets by construction.
 
 Updates and forecasts are whole-graph kernels: segmented products over the
-graph's CSR layout, each multiplied in the order the per-node formula
-states, so every entry has the rounding of that formula.  Node i's update
+edge layouts of the (graph, observers) plan, each multiplied in the order
+the per-node formula states, so every entry has the rounding of that
+formula.  The plan also holds the cover check, done once.  Node i's update
 touches at most d_in(i) + d_out(i)·d_max edges; a whole update is O(n + m)
-plus one stable sort of the evidence edges.  The per-node functions index
-the kernels' results, so they raise if the observer set fails the cover
-anywhere the kernel reads.
+plus one stable sort of the evidence edges.
 """
 from __future__ import annotations
 
@@ -36,8 +35,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import DegenerateEvidence
-from .graphs import (ObserverSet, SpreadingGraph, _frozen, _offsets,
-                     segment_products, unobserved_in_neighbor)
+from .graphs import (ObservationPlan, ObserverSet, SpreadingGraph, _frozen,
+                     _offsets, observation_plan, require_cover, segment_products)
 from .simulate import SISParams
 
 
@@ -86,22 +85,6 @@ class BeliefState:
         object.__setattr__(self, "xhat", _frozen(xhat))
 
 
-@dataclass(frozen=True, eq=False)
-class EvidenceSets:
-    """Observed out-neighbors of an unobserved node that were susceptible last step.
-
-    Split by what they did next: ``healthy_again`` stayed susceptible,
-    ``newly_infected`` transitioned to infected.
-    """
-
-    healthy_again: np.ndarray
-    newly_infected: np.ndarray
-
-    @property
-    def all_members(self) -> np.ndarray:
-        return np.concatenate([self.healthy_again, self.newly_infected])
-
-
 def initial_belief(g: SpreadingGraph, observers: ObserverSet, prior,
                    obs0) -> BeliefState:
     """Bootstrap at time 0: observed entries from the observation, rest from the prior."""
@@ -116,36 +99,14 @@ def initial_belief(g: SpreadingGraph, observers: ObserverSet, prior,
                        last_params=None, obs_prev=None, obs_cur=obs0.copy())
 
 
-def evidence_sets(g: SpreadingGraph, o: ObserverSet, i: int, prev_obs,
-                  cur_obs) -> EvidenceSets:
-    k = g.out_neighbors[int(i)]
-    k = k[o.mask[k] & (np.asarray(prev_obs)[k] == 0)]
-    newly = np.asarray(cur_obs)[k] != 0
-    return EvidenceSets(k[~newly], k[newly])
-
-
-def infer_observed(i: int, obs) -> float:
-    """An observed node's estimate is its observation."""
-    return float(obs)
-
-
-def _check_cover(g: SpreadingGraph, o: ObserverSet, allowed) -> None:
-    """Raise at the first node with more unobserved in-neighbors than ``allowed``."""
-    hidden_in = np.bincount(g.targets[~o.mask[g.sources]], minlength=g.node_count)
-    bad = (hidden_in > allowed).nonzero()[0]
-    if bad.size:
-        unobserved_in_neighbor(g, o, bad[0])   # raises: bad[0] breaks the cover
-
-
-def _evidence_edges(g: SpreadingGraph, mask, prev_obs) -> np.ndarray:
+def _evidence_edges(g: SpreadingGraph, plan: ObservationPlan, prev_obs) -> np.ndarray:
     """Ids of edges (i, k): i unobserved, k observed and susceptible last step."""
-    k = g.targets
-    return (~mask[g.sources] & mask[k] & (prev_obs[k] == 0)).nonzero()[0]
+    return plan.hidden_out[prev_obs[g.targets[plan.hidden_out]] == 0]
 
 
-def _touches(g: SpreadingGraph, mask, prev_obs) -> np.ndarray:
+def _touches(g: SpreadingGraph, plan: ObservationPlan, prev_obs) -> np.ndarray:
     """Per node: in-edges touched by its pressure and its evidence nodes' likelihoods."""
-    ev = _evidence_edges(g, mask, prev_obs)
+    ev = _evidence_edges(g, plan, prev_obs)
     d_in = np.diff(g.in_ptr)
     return d_in + np.bincount(g.sources[ev], d_in[g.targets[ev]], g.node_count).astype(np.int64)
 
@@ -155,19 +116,20 @@ def _evidence(g: SpreadingGraph, o: ObserverSet, beta, prev_obs, cur_obs):
 
     ``survival`` multiplies a node's observed in-edges in source order: the
     infection pressure complement of an unobserved node, and ``p_k`` of an
-    evidence node k, whose one unobserved in-neighbor enters as exactly 1.0.
-    Per unobserved node, L1/L0 multiply over its ``healthy_again`` group and
+    evidence node k, which leaves out its one unobserved in-neighbor.  Per
+    unobserved node, L1/L0 multiply over its ``healthy_again`` group and
     then its ``newly_infected`` group, each in target order; nodes without
     evidence get (1, 1).
     """
     n, mask = g.node_count, o.mask
+    plan = observation_plan(g, o)
     # evidence nodes (observed, susceptible last step) allow one unobserved
     # in-neighbor, other observed nodes any number, unobserved nodes none
-    _check_cover(g, o, mask * (1 + n * (prev_obs != 0)))
-    survival = segment_products(
-        np.where(mask[g.in_src], 1.0 - beta[g.in_eid] * prev_obs[g.in_src], 1.0),
-        g.in_ptr)
-    ev = _evidence_edges(g, mask, prev_obs)
+    bad = plan.violators
+    require_cover(g, o, bad[~mask[bad] | (prev_obs[bad] == 0)])
+    survival = segment_products(1.0 - beta[plan.seen_eid] * prev_obs[plan.seen_src],
+                                plan.seen_ptr)
+    ev = _evidence_edges(g, plan, prev_obs)
     src, k = g.sources[ev], g.targets[ev]
     newly = cur_obs[k] != 0
     order = (2 * src + newly).argsort(kind="stable")
@@ -180,68 +142,6 @@ def _evidence(g: SpreadingGraph, o: ObserverSet, beta, prev_obs, cur_obs):
     return survival, l1, l0
 
 
-def likelihoods(g: SpreadingGraph, o: ObserverSet, prev_params: SISParams,
-                prev_obs, cur_obs, i: int,
-                counter: Optional[TouchCounter] = None):
-    """Evidence likelihoods under both hypotheses about unobserved node i's last compartment.
-
-    Returns ``(L1, L0)``: the probability of the observed transitions of the
-    evidence set given that i was infected (L1) or susceptible (L0) at the
-    previous step.  Empty evidence gives (1, 1).
-    """
-    i = int(i)
-    if o.mask[i]:
-        raise ValueError(f"node {i} is observed; evidence concerns unobserved nodes")
-    prev_obs, cur_obs = np.asarray(prev_obs), np.asarray(cur_obs)
-    _, l1, l0 = _evidence(g, o, prev_params.beta, prev_obs, cur_obs)
-    if counter is not None:
-        counter.touches += int(_touches(g, o.mask, prev_obs)[i] - len(g.in_neighbors[i]))
-    return float(l1[i]), float(l0[i])
-
-
-def _posterior(belief_prev: BeliefState, g: SpreadingGraph, params: SISParams,
-               prev_obs, cur_obs, checked) -> np.ndarray:
-    """Whole-graph Bayes update: the next belief vector.
-
-    Raises at the first ``checked`` node whose evidence has probability 0
-    under both hypotheses (its update is 0/0).
-    """
-    o = belief_prev.observers
-    survival, l1, l0 = _evidence(g, o, params.beta, prev_obs, cur_obs)
-    p = belief_prev.xhat
-    # observed nodes have no evidence, so their denominator is p + (1 - p)
-    denominator = l1 * p + l0 * (1.0 - p)
-    numerator = (1.0 - params.delta) * l1 * p + (1.0 - survival) * l0 * (1.0 - p)
-    impossible = ((denominator == 0.0) & checked).nonzero()[0]
-    if impossible.size:
-        raise DegenerateEvidence(
-            f"observed outcome has probability 0 under the model while "
-            f"updating node {impossible[0]}", node=int(impossible[0]))
-    with np.errstate(invalid="ignore"):
-        return np.where(o.mask, cur_obs, numerator / denominator)
-
-
-def infer_unobserved(i: int, belief_prev: BeliefState, g: SpreadingGraph,
-                     prev_params: SISParams, prev_obs, cur_obs,
-                     counter: Optional[TouchCounter] = None) -> float:
-    """Bayes update of an unobserved node's infection probability.
-
-    The prior belief is pushed through healing and infection pressure and
-    reweighted by the evidence likelihoods.  Returns node i's entry of the
-    whole-graph update; ``counter`` is charged node i's touches only.
-    """
-    i = int(i)
-    o = belief_prev.observers
-    if o.mask[i]:
-        raise ValueError(f"node {i} is observed; use infer_observed")
-    prev_obs, cur_obs = np.asarray(prev_obs), np.asarray(cur_obs)
-    xhat = _posterior(belief_prev, g, prev_params, prev_obs, cur_obs,
-                      np.arange(g.node_count) == i)
-    if counter is not None:
-        counter.note_calls(_touches(g, o.mask, prev_obs)[[i]])
-    return float(xhat[i])
-
-
 def predict_all(belief: BeliefState, g: SpreadingGraph, params: SISParams,
                 cur_obs) -> np.ndarray:
     """Vector of next-step infection probabilities for every node.
@@ -250,37 +150,13 @@ def predict_all(belief: BeliefState, g: SpreadingGraph, params: SISParams,
     belief.  Survival multiplies a node's in-edges in source order, except
     that an observed node's one unobserved in-edge multiplies first.
     """
-    mask = belief.observers.mask
-    _check_cover(g, belief.observers, mask)
-    v = np.where(mask, np.asarray(cur_obs), belief.xhat)
-    factors = 1.0 - params.beta[g.in_eid] * v[g.in_src]
-    # an observed node's one unobserved in-edge multiplies first: take it out
-    # of its place and fold it into the first factor of the node's segment
-    hidden = (~mask[g.in_src]).nonzero()[0]
-    lead = factors[hidden]
-    factors[hidden] = 1.0
-    first = g.in_ptr[g.targets[g.in_eid[hidden]]]
-    factors[first] = lead * factors[first]
-    survival = segment_products(factors, g.in_ptr)
+    o = belief.observers
+    plan = observation_plan(g, o)
+    require_cover(g, o, plan.violators)
+    v = np.where(o.mask, np.asarray(cur_obs), belief.xhat)
+    survival = segment_products(1.0 - params.beta[plan.fore_eid] * v[plan.fore_src],
+                                g.in_ptr)
     return v * (1.0 - params.delta) + (1.0 - survival) * (1.0 - v)
-
-
-def predict_observed(i: int, belief: BeliefState, g: SpreadingGraph,
-                     params: SISParams, cur_obs) -> float:
-    """Next-step infection probability of an observed node under chosen params."""
-    i = int(i)
-    if not belief.observers.mask[i]:
-        raise ValueError(f"node {i} is unobserved; use predict_unobserved")
-    return float(predict_all(belief, g, params, cur_obs)[i])
-
-
-def predict_unobserved(i: int, belief: BeliefState, g: SpreadingGraph,
-                       params: SISParams, cur_obs) -> float:
-    """Next-step infection probability of an unobserved node under chosen params."""
-    i = int(i)
-    if belief.observers.mask[i]:
-        raise ValueError(f"node {i} is observed; use predict_observed")
-    return float(predict_all(belief, g, params, cur_obs)[i])
 
 
 def filter_step(belief_prev: BeliefState, g: SpreadingGraph,
@@ -289,7 +165,11 @@ def filter_step(belief_prev: BeliefState, g: SpreadingGraph,
     """Advance the belief one step given the new observation slice.
 
     Uses only the previous estimates and parameters plus the observations of
-    the previous and current steps.
+    the previous and current steps.  An unobserved node's prior belief is
+    pushed through healing and infection pressure and reweighted by the
+    evidence likelihoods; an observed node takes its observation.  Raises
+    :class:`DegenerateEvidence` at the first unobserved node whose evidence
+    has probability 0 under both hypotheses (its update is 0/0).
     """
     new_obs = np.asarray(new_obs)
     if new_obs.size != g.node_count:
@@ -299,9 +179,20 @@ def filter_step(belief_prev: BeliefState, g: SpreadingGraph,
     prev_params.validate_for(g)
     o = belief_prev.observers
     prev_obs = np.asarray(belief_prev.obs_cur)
-    xhat = _posterior(belief_prev, g, prev_params, prev_obs, new_obs, ~o.mask)
+    survival, l1, l0 = _evidence(g, o, prev_params.beta, prev_obs, new_obs)
+    p = belief_prev.xhat
+    # observed nodes have no evidence, so their denominator is p + (1 - p)
+    denominator = l1 * p + l0 * (1.0 - p)
+    numerator = (1.0 - prev_params.delta) * l1 * p + (1.0 - survival) * l0 * (1.0 - p)
+    impossible = ((denominator == 0.0) & ~o.mask).nonzero()[0]
+    if impossible.size:
+        raise DegenerateEvidence(
+            f"observed outcome has probability 0 under the model while "
+            f"updating node {impossible[0]}", node=int(impossible[0]))
+    with np.errstate(invalid="ignore"):
+        xhat = np.where(o.mask, new_obs, numerator / denominator)
     if counter is not None:
-        counter.note_calls(_touches(g, o.mask, prev_obs)[~o.mask])
+        counter.note_calls(_touches(g, observation_plan(g, o), prev_obs)[~o.mask])
     return BeliefState(xhat=xhat, observers=o,
                        time_index=belief_prev.time_index + 1,
                        last_params=prev_params, obs_prev=prev_obs,

@@ -3,7 +3,9 @@
 Nodes are dense integer ids ``0..n-1``.  A directed edge ``(j, i)`` is read
 as "j can transmit to i".  Graph values are immutable after construction and
 safe to share across threads; time-varying transmission/healing parameters
-live outside the graph (see :mod:`episteer.simulate`).
+live outside the graph (see :mod:`episteer.simulate`).  The observation
+plan of a (graph, observers) pair, which filtering, forecasting and control
+index, is compiled once and cached on the graph.
 """
 from __future__ import annotations
 
@@ -76,11 +78,6 @@ class SpreadingGraph:
         object.__setattr__(self, "edges", tuple(sorted(seen)))
 
     @cached_property
-    def edge_index(self) -> dict:
-        """Map (source, target) -> position in the canonical edge order."""
-        return {e: k for k, e in enumerate(self.edges)}
-
-    @cached_property
     def sources(self) -> np.ndarray:
         """Edge sources in canonical order: each node's out-edges form one run."""
         return _frozen(np.array([j for j, _ in self.edges], dtype=np.int64))
@@ -122,6 +119,11 @@ class SpreadingGraph:
     def d_max(self) -> int:
         """Maximum in-degree over all nodes."""
         return int(np.diff(self.in_ptr).max())
+
+    @cached_property
+    def _plans(self) -> dict:
+        """Observer mask bytes -> :class:`ObservationPlan` (see ``observation_plan``)."""
+        return {}
 
     def __repr__(self):
         return f"SpreadingGraph(n={self.node_count}, edges={len(self.edges)})"
@@ -228,3 +230,66 @@ def unobserved_in_neighbor(g: SpreadingGraph, o: ObserverSet, i) -> Optional[int
         raise CoverViolation(f"node {i} has unobserved in-neighbors {hidden.tolist()}; "
                              f"observer set is not a cover", node=i)
     return int(hidden[0]) if hidden.size else None
+
+
+@dataclass(frozen=True, eq=False)
+class ObservationPlan:
+    """What the filter, the forecast and the controller need of (graph, observers).
+
+    Compiled once per pair (see ``observation_plan``).  Per node:
+    ``hidden_in`` counts the unobserved in-neighbors, ``hidden_eid`` is the
+    first unobserved in-edge (-1 if none), and ``violators`` lists, ascending,
+    the nodes with more unobserved in-neighbors than a cover of the moralized
+    graph allows (one for an observed node, none for an unobserved one).
+    Edge layouts: ``seen_*`` (offsets ``seen_ptr``) is the in-CSR restricted
+    to observed sources; ``fore_*`` (offsets ``SpreadingGraph.in_ptr``) puts
+    each node's unobserved in-edges first, then the rest in source order;
+    ``hidden_out`` holds the edges from an unobserved to an observed node.
+    """
+
+    hidden_in: np.ndarray
+    hidden_eid: np.ndarray
+    violators: np.ndarray
+    seen_ptr: np.ndarray
+    seen_eid: np.ndarray
+    seen_src: np.ndarray
+    fore_eid: np.ndarray
+    fore_src: np.ndarray
+    hidden_out: np.ndarray
+
+    @classmethod
+    def compile(cls, g: SpreadingGraph, mask: np.ndarray) -> "ObservationPlan":
+        n = g.node_count
+        seen = mask[g.in_src]
+        in_tgt = g.targets[g.in_eid]
+        hidden_in = np.bincount(in_tgt[~seen], minlength=n)
+        hidden_eid = np.full(n, -1, dtype=np.int64)
+        nodes, first = np.unique(in_tgt[~seen], return_index=True)
+        hidden_eid[nodes] = g.in_eid[~seen][first]
+        fore = np.argsort(2 * in_tgt + seen, kind="stable")
+        return cls(*map(_frozen, (
+            hidden_in, hidden_eid, np.flatnonzero(hidden_in > mask),
+            _offsets(in_tgt[seen], n), g.in_eid[seen], g.in_src[seen],
+            g.in_eid[fore], g.in_src[fore],
+            np.flatnonzero(~mask[g.sources] & mask[g.targets]))))
+
+
+def observation_plan(g: SpreadingGraph, o: ObserverSet) -> ObservationPlan:
+    """The plan of ``(g, o)``, compiled on first use and cached on the graph.
+
+    The graph keeps the plan of the observer set it was last used with: a
+    run uses one set throughout, and a sweep over many sets holds one plan.
+    """
+    key = o.mask.tobytes()
+    plan = g._plans.get(key)
+    if plan is None:
+        plan = ObservationPlan.compile(g, o.mask)
+        g._plans.clear()
+        g._plans[key] = plan
+    return plan
+
+
+def require_cover(g: SpreadingGraph, o: ObserverSet, violators: np.ndarray) -> None:
+    """Raise :class:`CoverViolation` at the first of ``violators``, if any."""
+    if violators.size:
+        unobserved_in_neighbor(g, o, violators[0])    # raises: it breaks the cover

@@ -101,15 +101,6 @@ def _survival(g: SpreadingGraph, beta: np.ndarray, x: np.ndarray) -> np.ndarray:
     return segment_products(1.0 - beta[g.in_eid] * x[g.in_src], g.in_ptr)
 
 
-def infection_survival_prob(g: SpreadingGraph, params: SISParams,
-                            state: ProcessState, i) -> float:
-    """Probability susceptible node i escapes infection this step.
-
-    Product of per-in-edge survival factors; empty product is 1.
-    """
-    return float(_survival(g, params.beta, state.x)[int(i)])
-
-
 def step(g: SpreadingGraph, params: SISParams, state: ProcessState,
          rng: RngStream) -> ProcessState:
     """Advance one step, consuming exactly one draw per node in index order.

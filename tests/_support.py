@@ -78,8 +78,7 @@ def evidence_likelihoods_by_enumeration(g, o, prior, params, prev_obs, cur_obs, 
     """
     n = g.node_count
     jb = ep.condition_on_observation(ep.from_marginal_probs(prior), o, prev_obs)
-    ev = ep.evidence_sets(g, o, i, prev_obs, cur_obs)
-    members = ev.all_members
+    members = np.concatenate(evidence_sets(g, o, i, prev_obs, cur_obs))
     bits = ep.bits_matrix(n)
     out = []
     for hypothesis in (1, 0):
@@ -102,6 +101,18 @@ def evidence_likelihoods_by_enumeration(g, o, prior, params, prev_obs, cur_obs, 
 # time, with products taken in the documented order.  The whole-graph kernels
 # must reproduce them bit for bit.
 
+def evidence_sets(g, o, i, prev_obs, cur_obs):
+    """Observed out-neighbors of unobserved node i that were susceptible last step.
+
+    Returns ``(healthy_again, newly_infected)``: those that stayed
+    susceptible and those that turned infected, each ascending.
+    """
+    k = g.out_neighbors[int(i)]
+    k = k[o.mask[k] & (np.asarray(prev_obs)[k] == 0)]
+    newly = np.asarray(cur_obs)[k] != 0
+    return k[~newly], k[newly]
+
+
 def _product(factors) -> float:
     out = 1.0
     for f in factors:
@@ -122,15 +133,17 @@ def posterior_by_loop(belief, g, params, prev_obs, cur_obs) -> np.ndarray:
     """Bayes update per unobserved node; evidence groups healthy-then-newly."""
     mask = belief.observers.mask
     beta = params.beta
+    edge_id = {e: k for k, e in enumerate(g.edges)}
     xhat = np.asarray(cur_obs, dtype=np.float64).copy()
     for i in np.flatnonzero(~mask):
         survival = _product(1.0 - beta[e] * prev_obs[j]
                             for j, e in zip(g.in_neighbors[i], g.in_edge_ids[i]))
-        ev = ep.evidence_sets(g, belief.observers, i, prev_obs, cur_obs)
+        healthy_again, newly_infected = evidence_sets(g, belief.observers, i,
+                                                      prev_obs, cur_obs)
         l1 = l0 = 1.0
-        for group, infected_now in ((ev.healthy_again, False), (ev.newly_infected, True)):
+        for group, infected_now in ((healthy_again, False), (newly_infected, True)):
             for k in group:
-                beta_ik = beta[g.edge_index[(i, int(k))]]
+                beta_ik = beta[edge_id[(i, int(k))]]
                 p_k = _product(1.0 - beta[e] * prev_obs[j]
                                for j, e in zip(g.in_neighbors[k], g.in_edge_ids[k])
                                if j != i)

@@ -90,7 +90,7 @@ def test_infection_term_matches_expectation_expansion():
                 want = 1.0 - surv
             else:
                 xj = belief.xhat[jp]
-                b = beta[g.edge_index[(jp, i)]]
+                b = beta[g.edges.index((jp, i))]
                 want = xj * (1.0 - surv * (1.0 - b)) + (1.0 - xj) * (1.0 - surv)
             assert got == pytest.approx(want, abs=1e-12)
 
@@ -504,3 +504,18 @@ def test_solve_sparse_2000_heavy_state_certified():
     dec = ep.solve(state.x, belief, spec, g, o)
     assert dec.solver_diagnostics.mode == "barrier"
     assert dec.constraint_slack >= -1e-6
+
+
+def test_solve_ends_a_stage_whose_gap_is_at_rounding_level():
+    # a valid cover one observer smaller than the auto cover: in replication
+    # 192 the last barrier stage meets a constraint gap of about -1e-11, where
+    # the Newton step is too inaccurate to descend; the stage must end stalled
+    from episteer import harness
+    cfg = harness.config_from_dict({
+        "graph": {"kind": "er", "n": 30, "p": 0.2, "seed": 82},
+        "observers": {"kind": "explicit", "members": list(range(24)) + [29]},
+        "control": {"r": 0.8},
+        "run": {"horizon": 2, "replications": 193, "seed": 20260809}})
+    records = harness._run_replication(cfg, 192)
+    assert [r.t for r in records] == [0, 1, 2]
+    assert min(r.slack for r in records) >= -1e-6

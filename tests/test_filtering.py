@@ -6,16 +6,19 @@ import pytest
 
 import episteer as ep
 from episteer.filtering import _evidence
-from episteer.simulate import _survival
-from _support import (evidence_likelihoods_by_enumeration,
+from _support import (evidence_likelihoods_by_enumeration, evidence_sets,
                       forecast_by_loop, next_infection_probs_by_loop,
                       posterior_by_loop, random_covered_instance,
                       random_interior_params, run_oracle_equivalence)
 
 
 def test_infer_observed_returns_observation():
-    assert ep.infer_observed(0, 1) == 1.0
-    assert ep.infer_observed(0, 0) == 0.0
+    g = ep.SpreadingGraph(3, ((0, 1), (2, 1)))
+    o = ep.ObserverSet.from_members(3, [1, 2])
+    belief = ep.initial_belief(g, o, 0.5, np.array([0, 0, 1], dtype=np.uint8))
+    params = ep.SISParams.constant(g, 0.3, 0.4)
+    xhat = ep.filter_step(belief, g, params, np.array([0, 1, 0], dtype=np.uint8)).xhat
+    assert (xhat[1], xhat[2]) == (1.0, 0.0)
 
 
 def test_initial_belief_bootstrap():
@@ -35,9 +38,14 @@ def test_evidence_sets_partition():
     o = ep.ObserverSet.from_members(5, [1, 2, 3])
     prev = np.array([0, 0, 0, 1, 0])
     cur = np.array([0, 0, 1, 1, 1])
-    ev = ep.evidence_sets(g, o, 0, prev, cur)
-    assert list(ev.healthy_again) == [1]
-    assert list(ev.newly_infected) == [2]
+    healthy_again, newly_infected = evidence_sets(g, o, 0, prev, cur)
+    assert list(healthy_again) == [1]
+    assert list(newly_infected) == [2]
+    # the kernel's likelihoods for node 0 use exactly nodes 1 and 2 (node 4
+    # leaves the graph: an unobserved node may have no unobserved in-neighbor)
+    g = ep.SpreadingGraph(5, ((0, 1), (0, 2), (0, 3)))
+    _, l1, l0 = _evidence(g, o, np.full(3, 0.5), prev, cur)
+    assert (l1[0], l0[0]) == (0.5 * (1.0 - 0.5), 1.0 * 0.0)
 
 
 def test_likelihoods_empty_evidence():
@@ -46,7 +54,8 @@ def test_likelihoods_empty_evidence():
     params = ep.SISParams.constant(g, 0.5, 0.5)
     prev = np.array([0, 0])
     cur = np.array([0, 0])
-    assert ep.likelihoods(g, o, params, prev, cur, 0) == (1.0, 1.0)
+    _, l1, l0 = _evidence(g, o, params.beta, prev, cur)
+    assert (l1[0], l0[0]) == (1.0, 1.0)
 
 
 def test_likelihoods_single_newly_infected_neighbor():
@@ -54,9 +63,9 @@ def test_likelihoods_single_newly_infected_neighbor():
     g = ep.SpreadingGraph(2, ((0, 1),))
     o = ep.ObserverSet.from_members(2, [1])
     params = ep.SISParams(np.zeros(2), np.array([0.4]))
-    l1, l0 = ep.likelihoods(g, o, params, np.array([0, 0]), np.array([0, 1]), 0)
-    assert l1 == pytest.approx(0.4)
-    assert l0 == 0.0
+    _, l1, l0 = _evidence(g, o, params.beta, np.array([0, 0]), np.array([0, 1]))
+    assert l1[0] == pytest.approx(0.4)
+    assert l0[0] == 0.0
 
 
 def test_likelihoods_match_joint_enumeration():
@@ -73,12 +82,12 @@ def test_likelihoods_match_joint_enumeration():
         x0 = (rng.uniforms(n) < prior).astype(np.uint8)
         params = random_interior_params(g, ep.RngStream((seed, 7)))
         x1 = ep.step(g, params, ep.ProcessState(x0), rng).x
+        _, l1, l0 = _evidence(g, o, params.beta, x0, x1)
         for i in unobserved:
-            got = ep.likelihoods(g, o, params, x0, x1, i)
             want = evidence_likelihoods_by_enumeration(g, o, prior, params,
                                                        x0, x1, i)
-            assert got[0] == pytest.approx(want[0], abs=1e-12)
-            assert got[1] == pytest.approx(want[1], abs=1e-12)
+            assert l1[i] == pytest.approx(want[0], abs=1e-12)
+            assert l0[i] == pytest.approx(want[1], abs=1e-12)
             checked += 1
     assert checked >= 10
 
@@ -90,8 +99,7 @@ def test_infer_unobserved_prior_through_healing():
     belief = ep.BeliefState(xhat=np.array([1.0, 0.0]), observers=o,
                             obs_cur=np.array([1, 0]))
     params = ep.SISParams(np.array([0.2, 0.2]), np.array([0.5]))
-    out = ep.infer_unobserved(0, belief, g, params, np.array([1, 0]),
-                              np.array([1, 0]))
+    out = ep.filter_step(belief, g, params, np.array([1, 0])).xhat[0]
     assert out == pytest.approx(0.8)
 
 
@@ -102,8 +110,7 @@ def test_infer_unobserved_pure_infection_pressure():
     belief = ep.BeliefState(xhat=np.array([0.0, 1.0]), observers=o,
                             obs_cur=np.array([0, 1]))
     params = ep.SISParams(np.array([0.0, 0.0]), np.array([0.5]))
-    out = ep.infer_unobserved(0, belief, g, params, np.array([0, 1]),
-                              np.array([0, 1]))
+    out = ep.filter_step(belief, g, params, np.array([0, 1])).xhat[0]
     assert out == pytest.approx(0.5)
 
 
@@ -122,10 +129,6 @@ def test_degenerate_evidence_raises():
     belief = ep.BeliefState(xhat=np.array([1.0, 0.0]), observers=o,
                             obs_cur=np.array([1, 0]))
     params = ep.SISParams(np.array([0.5, 0.5]), np.array([1.0]))
-    with pytest.raises(ep.DegenerateEvidence) as err:
-        ep.infer_unobserved(0, belief, g, params, np.array([1, 0]),
-                            np.array([1, 0]))
-    assert err.value.node == 0
     with pytest.raises(ep.DegenerateEvidence) as err:
         ep.filter_step(belief, g, params, np.array([1, 0]))
     assert err.value.node == 0
@@ -199,22 +202,18 @@ def test_cover_violation_propagates_node_id():
         with pytest.raises(ep.CoverViolation) as err:
             call()
         assert err.value.node == 1 and _violates_cover(g, o, 1)
-
-
-def test_role_checks():
-    g = ep.SpreadingGraph(2, ((1, 0),))
-    o = ep.ObserverSet.from_members(2, [1])
-    obs = np.array([0, 1])
-    belief = ep.BeliefState(xhat=np.array([0.5, 1.0]), observers=o, obs_cur=obs)
+    # an observed node infected last step may have several unobserved
+    # in-neighbors for the filter (its transition is its own healing draw),
+    # but not for the forecast
+    g = ep.SpreadingGraph(3, ((0, 2), (1, 2)))
+    o = ep.ObserverSet.from_members(3, [2])
+    belief = ep.initial_belief(g, o, 0.5, np.array([0, 0, 1], dtype=np.uint8))
     params = ep.SISParams.constant(g, 0.3, 0.3)
-    with pytest.raises(ValueError):
-        ep.infer_unobserved(1, belief, g, params, obs, obs)
-    with pytest.raises(ValueError):
-        ep.likelihoods(g, o, params, obs, obs, 1)
-    with pytest.raises(ValueError):
-        ep.predict_observed(0, belief, g, params, obs)
-    with pytest.raises(ValueError):
-        ep.predict_unobserved(1, belief, g, params, obs)
+    obs = np.array([0, 0, 0], dtype=np.uint8)
+    assert ep.filter_step(belief, g, params, obs).xhat[2] == 0.0
+    with pytest.raises(ep.CoverViolation) as err:
+        ep.predict_all(belief, g, params, obs)
+    assert err.value.node == 2 and _violates_cover(g, o, 2)
 
 
 def test_predict_observed_cases():
@@ -223,9 +222,9 @@ def test_predict_observed_cases():
     o = ep.ObserverSet.from_members(2, [0, 1])
     belief = ep.initial_belief(g, o, np.zeros(2), np.array([0, 1], dtype=np.uint8))
     params = ep.SISParams(np.array([0.25, 0.25]), np.array([0.9]))
-    assert ep.predict_observed(1, belief, g, params, np.array([0, 1])) == pytest.approx(0.75)
+    assert ep.predict_all(belief, g, params, np.array([0, 1]))[1] == pytest.approx(0.75)
     # susceptible, no in-neighbors
-    assert ep.predict_observed(0, belief, g, params, np.array([0, 0])) == 0.0
+    assert ep.predict_all(belief, g, params, np.array([0, 0]))[0] == 0.0
 
 
 def test_predict_observed_mixed_neighbors():
@@ -235,7 +234,7 @@ def test_predict_observed_mixed_neighbors():
     obs = np.array([0, 1, 0], dtype=np.uint8)
     belief = ep.BeliefState(xhat=np.array([0.5, 1.0, 0.0]), observers=o, obs_cur=obs)
     params = ep.SISParams(np.zeros(3), np.array([0.4, 0.5]))
-    got = ep.predict_observed(2, belief, g, params, obs)
+    got = ep.predict_all(belief, g, params, obs)[2]
     assert got == pytest.approx(0.6)
     # cross-check against the joint pushforward marginal
     jb = ep.from_marginal_probs(np.array([0.5, 1.0, 0.0]))
@@ -249,15 +248,15 @@ def test_predict_unobserved_cases():
     params = ep.SISParams(np.array([0.3, 0.3]), np.array([0.25]))
     healthy = ep.BeliefState(xhat=np.array([0.0, 0.0]), observers=o,
                              obs_cur=np.array([0, 0]))
-    assert ep.predict_unobserved(0, healthy, g, params, np.array([0, 0])) == 0.0
+    assert ep.predict_all(healthy, g, params, np.array([0, 0]))[0] == 0.0
     sure = ep.BeliefState(xhat=np.array([1.0, 0.0]), observers=o,
                           obs_cur=np.array([1, 0]))
-    assert ep.predict_unobserved(0, sure, g, params, np.array([1, 0])) == pytest.approx(0.7)
+    assert ep.predict_all(sure, g, params, np.array([1, 0]))[0] == pytest.approx(0.7)
     # hand-evaluated mixture: 0.5*0.4 + 0.25*0.6
     mixed = ep.BeliefState(xhat=np.array([0.4, 1.0]), observers=o,
                            obs_cur=np.array([0, 1]))
     half = ep.SISParams(np.array([0.5, 0.5]), np.array([0.25]))
-    got = ep.predict_unobserved(0, mixed, g, half, np.array([0, 1]))
+    got = ep.predict_all(mixed, g, half, np.array([0, 1]))[0]
     assert got == pytest.approx(0.35)
     jb = ep.from_marginal_probs(np.array([0.4, 1.0]))
     want = ep.marginals(ep.joint_pushforward(jb, g, half))[0]
@@ -322,9 +321,9 @@ def test_touch_counter_counts_structurally():
             prev = state.x
             state = ep.step(g, params, state, rng)
             for i in np.flatnonzero(~o.mask):
-                ev = ep.evidence_sets(g, o, i, prev, state.x)
-                t = len(g.in_neighbors[i]) + sum(len(g.in_neighbors[k])
-                                                 for k in ev.all_members)
+                t = len(g.in_neighbors[i]) + sum(
+                    len(g.in_neighbors[k])
+                    for k in np.concatenate(evidence_sets(g, o, i, prev, state.x)))
                 touches, calls, worst = touches + t, calls + 1, max(worst, t)
             belief = ep.filter_step(belief, g, params, state.x, counter)
         assert (counter.touches, counter.calls, counter.max_per_call) == (
@@ -361,26 +360,9 @@ def test_kernels_match_per_node_loops_bit_for_bit():
             assert np.array_equal(ep.predict_all(nxt_belief, g, params, nxt.x),
                                   forecast_by_loop(nxt_belief, g, params, nxt.x))
             for i in np.flatnonzero(~o.mask):
-                ev = ep.evidence_sets(g, o, i, state.x, nxt.x)
-                mixed += bool(ev.healthy_again.size and ev.newly_infected.size)
+                healthy_again, newly_infected = evidence_sets(g, o, i, state.x, nxt.x)
+                mixed += bool(healthy_again.size and newly_infected.size)
     assert mixed >= 20
-
-
-def test_scalar_functions_are_kernel_entries():
-    for seed in range(6):
-        for g, o, params, state, nxt, belief, nxt_belief in _trajectory(seed, 12 + seed, 5):
-            survival = _survival(g, params.beta, nxt.x)
-            _, l1, l0 = _evidence(g, o, params.beta, state.x, nxt.x)
-            forecast = ep.predict_all(nxt_belief, g, params, nxt.x)
-            for i in range(g.node_count):
-                assert ep.infection_survival_prob(g, params, nxt, i) == survival[i]
-                if i in o:
-                    assert ep.predict_observed(i, nxt_belief, g, params, nxt.x) == forecast[i]
-                    continue
-                assert ep.predict_unobserved(i, nxt_belief, g, params, nxt.x) == forecast[i]
-                assert ep.likelihoods(g, o, params, state.x, nxt.x, i) == (l1[i], l0[i])
-                assert ep.infer_unobserved(i, belief, g, params, state.x,
-                                           nxt.x) == nxt_belief.xhat[i]
 
 
 def test_open_loop_digest_is_pinned():
@@ -413,3 +395,12 @@ def test_belief_state_validation():
         # observed entry disagrees with the observation slice
         ep.BeliefState(xhat=np.array([0.5, 0.5]), observers=o,
                        obs_cur=np.array([1, 0]))
+    # filtering needs the previous slice and a full-length new one
+    g = ep.SpreadingGraph(2, ((0, 1),))
+    params = ep.SISParams.constant(g, 0.3, 0.3)
+    with pytest.raises(ValueError):
+        ep.filter_step(ep.BeliefState(xhat=np.array([1.0, 0.5]), observers=o), g,
+                       params, np.array([1, 0]))
+    belief = ep.initial_belief(g, o, 0.5, np.array([1, 0]))
+    with pytest.raises(ValueError):
+        ep.filter_step(belief, g, params, np.array([1, 0, 0]))

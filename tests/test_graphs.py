@@ -36,7 +36,7 @@ def test_adjacency_indexes_consistent():
     assert list(g.in_neighbors[1]) == [0, 2]
     assert list(g.out_neighbors[2]) == [0, 1]
     assert g.d_max == 2
-    assert g.edge_index[(2, 1)] == 2  # canonical sorted order
+    assert g.edges[2] == (2, 1)  # canonical sorted order
     for i in range(4):
         for j, eid in zip(g.in_neighbors[i], g.in_edge_ids[i]):
             assert g.edges[eid] == (int(j), i)

@@ -4,19 +4,16 @@ import numpy as np
 import pytest
 
 import episteer as ep
+from episteer.simulate import _survival
 from _support import random_interior_params
 
 
 def test_survival_prob_cases():
     g = ep.SpreadingGraph(3, ((0, 2), (1, 2)))
-    params = ep.SISParams(np.zeros(3), np.array([0.3, 0.5]))
-    no_in = ep.ProcessState(np.array([1, 1, 0]))
-    assert ep.infection_survival_prob(g, params, no_in, 0) == 1.0
-    one = ep.ProcessState(np.array([1, 0, 0]))
-    assert ep.infection_survival_prob(g, params, one, 2) == pytest.approx(0.7)
-    both = ep.SISParams(np.zeros(3), np.array([0.5, 0.5]))
-    two = ep.ProcessState(np.array([1, 1, 0]))
-    assert ep.infection_survival_prob(g, both, two, 2) == pytest.approx(0.25)
+    beta = np.array([0.3, 0.5])
+    assert _survival(g, beta, np.array([1, 1, 0]))[0] == 1.0      # no in-neighbors
+    assert _survival(g, beta, np.array([1, 0, 0]))[2] == pytest.approx(0.7)
+    assert _survival(g, np.array([0.5, 0.5]), np.array([1, 1, 0]))[2] == pytest.approx(0.25)
 
 
 def test_params_validation():
