@@ -43,7 +43,7 @@ def _cmd_cover(args) -> int:
     m = moralize(g)
     print(f"graph: {g.node_count} nodes, {len(g.edges)} directed edges, "
           f"max in-degree {g.d_max}")
-    print(f"moralized graph: {len(m.edges)} undirected edges")
+    print(f"moralized graph: {m.u.size} undirected edges")
     auto = approx_min_cover(m)
     print(f"auto observer set ({auto.size} nodes): {' '.join(map(str, auto.members))}")
     if args.check is not None:

@@ -60,17 +60,15 @@ class TouchCounter:
 class BeliefState:
     """Per-node conditional infection probabilities at a fixed time.
 
-    Sufficient statistic carried between steps: the estimates themselves,
-    the parameters applied on the way here, and the two most recent
-    observation slices (full-length vectors; only observed entries are
-    meaningful).
+    Sufficient statistic carried between steps: the estimates themselves
+    and the most recent observation slice (a full-length vector; only
+    observed entries are meaningful).  The next update also needs the
+    parameters applied in between and the new slice, which it is given.
     """
 
     xhat: np.ndarray
     observers: ObserverSet
     time_index: int = 0
-    last_params: Optional[SISParams] = None
-    obs_prev: Optional[np.ndarray] = None
     obs_cur: Optional[np.ndarray] = None
 
     def __post_init__(self):
@@ -96,7 +94,7 @@ def initial_belief(g: SpreadingGraph, observers: ObserverSet, prior,
     obs0 = np.asarray(obs0)
     xhat[observers.mask] = obs0[observers.mask]
     return BeliefState(xhat=xhat, observers=observers, time_index=0,
-                       last_params=None, obs_prev=None, obs_cur=obs0.copy())
+                       obs_cur=obs0.copy())
 
 
 def _evidence_edges(g: SpreadingGraph, plan: ObservationPlan, prev_obs) -> np.ndarray:
@@ -111,7 +109,7 @@ def _touches(g: SpreadingGraph, plan: ObservationPlan, prev_obs) -> np.ndarray:
     return d_in + np.bincount(g.sources[ev], d_in[g.targets[ev]], g.node_count).astype(np.int64)
 
 
-def _evidence(g: SpreadingGraph, o: ObserverSet, beta, prev_obs, cur_obs):
+def _evidence(g: SpreadingGraph, o: ObserverSet, beta, prev_obs, cur_obs, log=False):
     """Whole-graph evidence kernel: per node ``(survival, L1, L0)``.
 
     ``survival`` multiplies a node's observed in-edges in source order: the
@@ -119,7 +117,7 @@ def _evidence(g: SpreadingGraph, o: ObserverSet, beta, prev_obs, cur_obs):
     evidence node k, which leaves out its one unobserved in-neighbor.  Per
     unobserved node, L1/L0 multiply over its ``healthy_again`` group and
     then its ``newly_infected`` group, each in target order; nodes without
-    evidence get (1, 1).
+    evidence get (1, 1).  With ``log``, L1/L0 are sums of the factors' logs.
     """
     n, mask = g.node_count, o.mask
     plan = observation_plan(g, o)
@@ -133,13 +131,15 @@ def _evidence(g: SpreadingGraph, o: ObserverSet, beta, prev_obs, cur_obs):
     src, k = g.sources[ev], g.targets[ev]
     newly = cur_obs[k] != 0
     order = (2 * src + newly).argsort(kind="stable")
-    ev, k, newly = ev[order], k[order], newly[order]
+    ev, k, newly, src = ev[order], k[order], newly[order], src[order]
     p_k = survival[k]
     kept = (1.0 - beta[ev]) * p_k
+    f1, f0 = np.where(newly, 1.0 - kept, kept), np.where(newly, 1.0 - p_k, p_k)
+    if log:
+        with np.errstate(divide="ignore"):
+            return survival, np.bincount(src, np.log(f1), n), np.bincount(src, np.log(f0), n)
     ptr = _offsets(src, n)
-    l1 = segment_products(np.where(newly, 1.0 - kept, kept), ptr)
-    l0 = segment_products(np.where(newly, 1.0 - p_k, p_k), ptr)
-    return survival, l1, l0
+    return survival, segment_products(f1, ptr), segment_products(f0, ptr)
 
 
 def predict_all(belief: BeliefState, g: SpreadingGraph, params: SISParams,
@@ -167,9 +167,10 @@ def filter_step(belief_prev: BeliefState, g: SpreadingGraph,
     Uses only the previous estimates and parameters plus the observations of
     the previous and current steps.  An unobserved node's prior belief is
     pushed through healing and infection pressure and reweighted by the
-    evidence likelihoods; an observed node takes its observation.  Raises
-    :class:`DegenerateEvidence` at the first unobserved node whose evidence
-    has probability 0 under both hypotheses (its update is 0/0).
+    evidence likelihoods; an observed node takes its observation.  A node
+    whose two weighted likelihoods both round to 0 is redone in log space.
+    Raises :class:`DegenerateEvidence` at the first unobserved node whose
+    evidence has probability 0 under both hypotheses (its update is 0/0).
     """
     new_obs = np.asarray(new_obs)
     if new_obs.size != g.node_count:
@@ -184,16 +185,28 @@ def filter_step(belief_prev: BeliefState, g: SpreadingGraph,
     # observed nodes have no evidence, so their denominator is p + (1 - p)
     denominator = l1 * p + l0 * (1.0 - p)
     numerator = (1.0 - prev_params.delta) * l1 * p + (1.0 - survival) * l0 * (1.0 - p)
-    impossible = ((denominator == 0.0) & ~o.mask).nonzero()[0]
-    if impossible.size:
-        raise DegenerateEvidence(
-            f"observed outcome has probability 0 under the model while "
-            f"updating node {impossible[0]}", node=int(impossible[0]))
     with np.errstate(invalid="ignore"):
         xhat = np.where(o.mask, new_obs, numerator / denominator)
+    rounded = ((denominator == 0.0) & ~o.mask).nonzero()[0]
+    if rounded.size:
+        # a hub's L1 multiplies one factor per out-neighbor and can underflow
+        # on possible evidence (0.5**1075 is 0): redo these weights from the
+        # sums of the same factors' logs, scaled so the larger one is 1
+        _, log1, log0 = _evidence(g, o, prev_params.beta, prev_obs, new_obs, log=True)
+        q = p[rounded]
+        with np.errstate(divide="ignore"):
+            log1, log0 = log1[rounded] + np.log(q), log0[rounded] + np.log(1.0 - q)
+        top = np.maximum(log1, log0)
+        impossible = rounded[top == -np.inf]
+        if impossible.size:
+            raise DegenerateEvidence(
+                f"observed outcome has probability 0 under the model while "
+                f"updating node {impossible[0]}", node=int(impossible[0]))
+        w1, w0 = np.exp(log1 - top), np.exp(log0 - top)
+        xhat[rounded] = ((1.0 - prev_params.delta[rounded]) * w1
+                         + (1.0 - survival[rounded]) * w0) / (w1 + w0)
     if counter is not None:
         counter.note_calls(_touches(g, observation_plan(g, o), prev_obs)[~o.mask])
     return BeliefState(xhat=xhat, observers=o,
                        time_index=belief_prev.time_index + 1,
-                       last_params=prev_params, obs_prev=prev_obs,
                        obs_cur=new_obs.copy())

@@ -6,12 +6,16 @@ safe to share across threads; time-varying transmission/healing parameters
 live outside the graph (see :mod:`episteer.simulate`).  The observation
 plan of a (graph, observers) pair, which filtering, forecasting and control
 index, is compiled once and cached on the graph.
+
+Set-up works on int arrays, with no Python set: a graph validates and sorts
+its edges as ``source·n + target`` keys in O(m log m); ``moralize`` sorts
+the m edges and every co-parent pair once, in O((m + Σ d_in²) log); a moral
+graph holds ``u``/``v`` arrays, so a cover check is one vectorized pass.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
 from typing import Iterable, Optional
 
 import numpy as np
@@ -24,17 +28,43 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _checked_edges(n: int, edges):
-    """Yield each edge as an int pair; reject self-loops and ids outside ``0..n-1``."""
+def _sorted_edges(n: int, edges, directed: bool = True):
+    """``(sources, targets)`` of ``edges`` as int arrays sorted by (source, target).
+
+    Undirected edges (``directed=False``) become (min, max) pairs and repeats
+    merge.  Raises ``ValueError`` at the first edge, in input order, that is
+    not a pair, is a self-loop, names an id outside ``0..n-1`` or repeats an
+    earlier directed edge.  One sort of the ``source·n + target`` keys.
+    """
     if n < 1:
         raise ValueError("node_count must be positive")
-    for e in edges:
-        j, i = int(e[0]), int(e[1])
-        if j == i:
-            raise ValueError(f"self-loop on node {j}")
-        if not (0 <= j < n and 0 <= i < n):
-            raise ValueError(f"edge ({j}, {i}) outside node range 0..{n - 1}")
-        yield j, i
+    try:
+        arr = np.asarray(edges, dtype=np.int64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"edges must be pairs of integer node ids: {exc}") from None
+    if arr.ndim == 1 and arr.size == 0:
+        arr = arr.reshape(0, 2)
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        first = np.atleast_1d(arr)[0].tolist()
+        raise ValueError(f"edge {first} is not a (source, target) pair")
+    j, i = arr[:, 0], arr[:, 1]
+    bad = (j == i) | (np.minimum(j, i) < 0) | (np.maximum(j, i) >= n)
+    if bad.any():
+        k = int(bad.argmax())
+        _sorted_edges(n, arr[:k], directed)         # raises at an earlier repeat
+        j, i = arr[k].tolist()
+        raise ValueError(f"self-loop on node {j}" if j == i else
+                         f"edge ({j}, {i}) outside node range 0..{n - 1}")
+    if not directed:
+        j, i = np.minimum(j, i), np.maximum(j, i)
+    key = j * n + i
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    repeat = np.diff(key, prepend=-1) == 0
+    if directed and repeat.any():       # stable: a repeat sorts after its first
+        raise ValueError(f"duplicate edge {tuple(arr[order[repeat].min()].tolist())}")
+    key = key[~repeat]
+    return _frozen(key // n), _frozen(key % n)
 
 
 def _offsets(keys: np.ndarray, n: int) -> np.ndarray:
@@ -59,32 +89,26 @@ def segment_products(values: np.ndarray, ptr: np.ndarray) -> np.ndarray:
 class SpreadingGraph:
     """Directed graph with one compiled CSR adjacency.
 
-    ``edges`` is canonicalized to a lexicographically sorted tuple; this
-    order also defines the layout of per-edge parameter arrays elsewhere.
+    ``edges`` may be any sequence of (source, target) pairs, such as an
+    (m, 2) int array.  It is canonicalized to a lexicographically sorted
+    tuple of int pairs; this order also defines the layout of per-edge
+    parameter arrays elsewhere.  ``sources``/``targets`` hold the same
+    edges as int arrays, in which each node's out-edges form one run.
     In-edges are compiled once, sorted by (target, source); the per-node
     tuple views below derive from the same arrays.
     """
 
     node_count: int
     edges: tuple
+    sources: np.ndarray = field(init=False, repr=False)
+    targets: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "node_count", int(self.node_count))
-        seen = set()
-        for e in _checked_edges(self.node_count, self.edges):
-            if e in seen:
-                raise ValueError(f"duplicate edge {e}")
-            seen.add(e)
-        object.__setattr__(self, "edges", tuple(sorted(seen)))
-
-    @cached_property
-    def sources(self) -> np.ndarray:
-        """Edge sources in canonical order: each node's out-edges form one run."""
-        return _frozen(np.array([j for j, _ in self.edges], dtype=np.int64))
-
-    @cached_property
-    def targets(self) -> np.ndarray:
-        return _frozen(np.array([i for _, i in self.edges], dtype=np.int64))
+        n = int(self.node_count)
+        sources, targets = _sorted_edges(n, self.edges)
+        for name, value in (("node_count", n), ("sources", sources), ("targets", targets),
+                            ("edges", tuple(zip(sources.tolist(), targets.tolist())))):
+            object.__setattr__(self, name, value)
 
     @cached_property
     def in_ptr(self) -> np.ndarray:
@@ -129,19 +153,30 @@ class SpreadingGraph:
         return f"SpreadingGraph(n={self.node_count}, edges={len(self.edges)})"
 
 
-@dataclass(frozen=True, eq=False)
 class MoralGraph:
-    """Undirected graph; edges stored as sorted (u, v) pairs with u < v."""
+    """Undirected graph: edge k joins ``u[k] < v[k]``, sorted by (u, v).
 
-    node_count: int
-    edges: tuple
+    ``u``/``v`` are int arrays; ``edges``, the same pairs as a tuple, is
+    built when first read.
+    """
 
-    def __post_init__(self):
-        canon = {(min(e), max(e)) for e in _checked_edges(int(self.node_count), self.edges)}
-        object.__setattr__(self, "edges", tuple(sorted(canon)))
+    def __init__(self, node_count: int, edges):
+        self.node_count = int(node_count)
+        self.u, self.v = _sorted_edges(self.node_count, edges, directed=False)
+
+    @classmethod
+    def _canonical(cls, node_count: int, u: np.ndarray, v: np.ndarray) -> "MoralGraph":
+        """Wrap pairs already canonical: u < v, sorted by (u, v), no repeats."""
+        m = cls.__new__(cls)
+        m.node_count, m.u, m.v = node_count, _frozen(u), _frozen(v)
+        return m
+
+    @cached_property
+    def edges(self) -> tuple:
+        return tuple(zip(self.u.tolist(), self.v.tolist()))
 
     def __repr__(self):
-        return f"MoralGraph(n={self.node_count}, edges={len(self.edges)})"
+        return f"MoralGraph(n={self.node_count}, edges={self.u.size})"
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,20 +222,27 @@ def moralize(g: SpreadingGraph) -> MoralGraph:
     """Drop edge directions and connect every pair of co-parents.
 
     Two distinct nodes become adjacent when one transmits to the other, or
-    when both transmit to a common target.
+    when both transmit to a common target.  The pairs are the m edges plus,
+    per in-CSR segment of d sources, its d(d-1)/2 source pairs, as
+    ``u·n + v`` keys; one sort dedupes them: O((m + Σ d_in²) log).
     """
-    pairs = {(min(j, i), max(j, i)) for j, i in g.edges}
-    for parents in g.in_neighbors:
-        pairs.update(combinations(parents.tolist(), 2))   # ascending, so u < v
-    return MoralGraph(g.node_count, tuple(sorted(pairs)))
+    n, src, ptr = g.node_count, g.in_src, g.in_ptr
+    # in-CSR position a pairs with every later position of its segment
+    later = np.repeat(ptr[1:], np.diff(ptr)) - np.arange(src.size) - 1
+    first = np.repeat(np.arange(src.size), later)
+    offset = np.arange(first.size) - np.repeat(np.cumsum(later) - later, later)
+    key = np.sort(np.concatenate((
+        np.minimum(g.sources, g.targets) * n + np.maximum(g.sources, g.targets),
+        src[first] * n + src[first + 1 + offset])))      # sources ascend: u < v
+    key = key[np.diff(key, prepend=-1) != 0]
+    return MoralGraph._canonical(n, key // n, key % n)
 
 
 def is_vertex_cover(m: MoralGraph, o: ObserverSet) -> bool:
     """True iff every edge of ``m`` has at least one endpoint in ``o``."""
     if o.node_count != m.node_count:
         raise ValueError("observer mask length does not match graph")
-    mask = o.mask
-    return all(mask[u] or mask[v] for u, v in m.edges)
+    return bool(np.all(o.mask[m.u] | o.mask[m.v]))
 
 
 def approx_min_cover(m: MoralGraph) -> ObserverSet:
@@ -209,12 +251,11 @@ def approx_min_cover(m: MoralGraph) -> ObserverSet:
     Deterministic: edges are scanned in their canonical sorted order and both
     endpoints of every matched edge enter the cover.
     """
-    mask = np.zeros(m.node_count, dtype=bool)
-    for u, v in m.edges:
-        if not mask[u] and not mask[v]:
-            mask[u] = True
-            mask[v] = True
-    return ObserverSet(mask)
+    covered = [False] * m.node_count
+    for u, v in zip(m.u.tolist(), m.v.tolist()):
+        if not covered[u] and not covered[v]:
+            covered[u] = covered[v] = True
+    return ObserverSet(np.array(covered, dtype=bool))
 
 
 def unobserved_in_neighbor(g: SpreadingGraph, o: ObserverSet, i) -> Optional[int]:

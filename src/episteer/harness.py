@@ -19,8 +19,8 @@ from .control import (AffineCost, ControlSpec, CostTerm, PiecewiseLinearCost,
                       PowerCost, solve)
 from .errors import ConfigError, ModelError
 from .filtering import filter_step, initial_belief
-from .graphs import (ObserverSet, SpreadingGraph, approx_min_cover,
-                     is_vertex_cover, moralize)
+from .graphs import (ObserverSet, SpreadingGraph, approx_min_cover, moralize,
+                     observation_plan)
 from .simulate import ProcessState, RngStream, SISParams, step
 
 _FLOAT_FMT = "%.17g"
@@ -45,7 +45,7 @@ def generate_er_graph(n: int, p: float, seed) -> SpreadingGraph:
             for start in range(0, total, _ER_CHUNK)]
     # hit k is pair (j, i): j = k // (n - 1), i skips the diagonal
     j, r = np.divmod(np.concatenate([np.zeros(0, dtype=np.int64)] + hits), n - 1)
-    return SpreadingGraph(n, tuple(zip(j.tolist(), (r + (r >= j)).tolist())))
+    return SpreadingGraph(n, np.stack((j, r + (r >= j)), axis=1))
 
 
 @dataclass(frozen=True)
@@ -310,7 +310,8 @@ def config_from_dict(doc: dict, base_dir: str = ".") -> ExperimentConfig:
                                                  obs_section["members"])
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"invalid observer members: {exc}") from exc
-        if not is_vertex_cover(moralize(g), observers):
+        # the plan has a violator iff some moral edge is uncovered: O(m)
+        if observation_plan(g, observers).violators.size:
             raise ConfigError(
                 "explicit observer set does not cover the moralized graph")
     else:

@@ -21,6 +21,14 @@ def exhaustive_min_cover_size(m: ep.MoralGraph) -> int:
     raise AssertionError("unreachable: V always covers")
 
 
+def moralize_by_set(g: ep.SpreadingGraph) -> tuple:
+    """Reference moralization: the sorted set of dropped-direction and co-parent pairs."""
+    pairs = {(min(j, i), max(j, i)) for j, i in g.edges}
+    for parents in g.in_neighbors:
+        pairs.update(itertools.combinations(parents.tolist(), 2))   # ascending, so u < v
+    return tuple(sorted(pairs))
+
+
 def random_covered_instance(seed: int, n: int, p: float):
     """ER graph with its matching-based observer cover."""
     g = ep.generate_er_graph(n, p, (seed, 101))

@@ -153,6 +153,15 @@ def _hub_step(leaves, seed):
     return g, o, params, belief, x1
 
 
+def _hub_bayes_rule(leaves, x1) -> Fraction:
+    """The hub's exact posterior after ``_hub_step``."""
+    half, keep = Fraction(1, 2), 1 - Fraction(0.3)
+    l1 = half ** leaves              # each leaf: infected w.p. 1/2, or not
+    l0 = Fraction(int(not x1[1:leaves + 1].any()))  # a susceptible hub infects no leaf
+    q = half                         # the infected attacker's pressure
+    return (keep * l1 * half + q * l0 * half) / (l1 * half + l0 * half)
+
+
 def test_hub_evidence_does_not_raise_and_matches_bayes_rule():
     # out-degree 60: the evidence likelihood is ~0.5**60, far below any
     # absolute threshold, yet perfectly possible
@@ -160,12 +169,45 @@ def test_hub_evidence_does_not_raise_and_matches_bayes_rule():
     newly = int(x1[1:61].sum())
     assert 0 < newly < 60
     got = ep.filter_step(belief, g, params, x1).xhat[0]
+    assert got == pytest.approx(float(_hub_bayes_rule(60, x1)), rel=1e-12)
+
+
+@pytest.mark.parametrize("leaves", [1074, 1100, 1200])
+@pytest.mark.parametrize("seed", [3, 4])
+def test_hub_evidence_that_underflows_matches_bayes_rule(leaves, seed):
+    # from 1074 leaves on, L1·p = 0.5**(leaves + 1) rounds to 0
+    g, o, params, belief, x1 = _hub_step(leaves, seed)
+    got = ep.filter_step(belief, g, params, x1).xhat[0]
+    assert got == pytest.approx(float(_hub_bayes_rule(leaves, x1)), rel=1e-12)
+
+
+def test_evidence_that_underflows_under_both_hypotheses():
+    # the attacker also reaches every leaf, so p_k = 1/2 and both L1 and L0
+    # underflow: 1200 newly infected leaves (factors 3/4 and 1/2) and 700
+    # healthy ones (1/4 and 1/2) leave the likelihood ratio near 3.8
+    newly, healthy = 1200, 700
+    leaves = newly + healthy
+    n = leaves + 2
+    attacker = n - 1
+    edges = tuple((0, k) for k in range(1, leaves + 1)) + tuple(
+        (attacker, k) for k in range(leaves + 1))
+    g = ep.SpreadingGraph(n, edges)
+    o = ep.ObserverSet.from_members(n, range(1, n))
+    params = ep.SISParams.constant(g, 0.3, 0.5)
+    x0 = np.zeros(n, dtype=np.uint8)
+    x0[[0, attacker]] = 1
+    belief = ep.initial_belief(g, o, 0.5, x0)
+    x1 = x0.copy()
+    x1[1:newly + 1] = 1
+    got = ep.filter_step(belief, g, params, x1).xhat[0]
     half, keep = Fraction(1, 2), 1 - Fraction(0.3)
-    l1 = half ** 60                  # each leaf: infected w.p. 1/2, or not
-    l0 = Fraction(0)                 # a susceptible hub infects no leaf
-    q = half                         # the infected attacker's pressure
-    want = (keep * l1 * half + q * l0 * half) / (l1 * half + l0 * half)
-    assert got == pytest.approx(float(want), rel=1e-12)
+    w1 = Fraction(3, 4) ** newly * Fraction(1, 4) ** healthy * half
+    w0 = half ** leaves * half
+    want = (keep * w1 + half * w0) / (w1 + w0)
+    assert 0.1 < w0 / (w1 + w0) < 0.9            # both hypotheses carry weight
+    # each log-likelihood sums 1900 logs of magnitude ~1 to about -1300, so
+    # its rounding error can exceed 1e-12 of the posterior
+    assert got == pytest.approx(float(want), rel=1e-10)
 
 
 def test_star_with_out_degree_1000_gives_a_posterior():

@@ -1,9 +1,11 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import episteer as ep
-from _support import exhaustive_min_cover_size
+from _support import exhaustive_min_cover_size, moralize_by_set
+from episteer.graphs import observation_plan
 
 
 @st.composite
@@ -29,6 +31,36 @@ def test_rejects_self_loops_duplicates_and_bad_ids():
         ep.SpreadingGraph(3, ((0, 3),))
     with pytest.raises(ValueError):
         ep.SpreadingGraph(0, ())
+    # the message names the first offending edge in input order
+    for kind in (ep.SpreadingGraph, ep.MoralGraph):
+        with pytest.raises(ValueError, match=r"^edge \(0, 3\) outside node range 0\.\.2$"):
+            kind(3, ((0, 1), (0, 3), (2, 2)))
+        with pytest.raises(ValueError, match=r"^self-loop on node 2$"):
+            kind(3, ((1, 0), (2, 2), (0, 3)))
+        with pytest.raises(ValueError, match=r"^edge \(-1, 2\) outside"):
+            kind(3, ((-1, 2), (1, 1)))
+        # a triple is not reshaped into pairs
+        with pytest.raises(ValueError, match=r"^edge \[0, 1, 2\] is not a \(source, target\) pair$"):
+            kind(6, ((0, 1, 2), (3, 4, 5)))
+        with pytest.raises(ValueError):
+            kind(6, ((0, 1), (0, 1, 2)))
+    # a duplicate is reported at its second occurrence
+    with pytest.raises(ValueError, match=r"^duplicate edge \(1, 2\)$"):
+        ep.SpreadingGraph(3, ((1, 2), (0, 1), (1, 2), (0, 3)))
+    with pytest.raises(ValueError, match=r"^edge \(0, 3\) outside"):
+        ep.SpreadingGraph(3, ((1, 2), (0, 3), (1, 2)))
+    # undirected repeats merge
+    assert ep.MoralGraph(3, ((1, 2), (2, 1), (0, 2), (1, 2))).edges == ((0, 2), (1, 2))
+
+
+def test_edge_arrays_match_edge_tuple():
+    g = ep.SpreadingGraph(4, np.array([[2, 0], [0, 1], [3, 2], [2, 1]]))
+    assert g.edges == ((0, 1), (2, 0), (2, 1), (3, 2))
+    assert all(type(v) is int for e in g.edges for v in e)
+    assert g.sources.tolist() == [0, 2, 2, 3] and g.targets.tolist() == [1, 0, 1, 2]
+    assert ep.SpreadingGraph(4, list(g.edges)).edges == g.edges
+    empty = ep.SpreadingGraph(2, ())
+    assert empty.edges == () and empty.sources.dtype == np.int64
 
 
 def test_adjacency_indexes_consistent():
@@ -87,7 +119,35 @@ def test_moralize_membership_rule(g):
         assert (u, v) in directed or (v, u) in directed or coparents
 
 
+@settings(deadline=None, max_examples=60)
+@given(spreading_graphs())
+def test_moralize_matches_set_reference(g):
+    assert ep.moralize(g).edges == moralize_by_set(g)
+
+
+def test_moralize_matches_set_reference_on_stars_and_edge_cases():
+    graphs = [ep.SpreadingGraph(1, ()), ep.SpreadingGraph(6, ()),
+              ep.generate_er_graph(80, 0.15, 5)]
+    for d in (1, 2, 3, 40, 300):
+        graphs.append(ep.SpreadingGraph(d + 1, tuple((leaf, 0) for leaf in range(1, d + 1))))
+        graphs.append(ep.SpreadingGraph(d + 1, tuple((0, leaf) for leaf in range(1, d + 1))))
+    for g in graphs:
+        m = ep.moralize(g)
+        assert m.edges == moralize_by_set(g)
+        assert m.u.dtype == m.v.dtype == np.int64
+
+
 # -- vertex covers -----------------------------------------------------------
+
+@settings(deadline=None, max_examples=80)
+@given(spreading_graphs(), st.data())
+def test_plan_has_violators_iff_observers_miss_a_moral_edge(g, data):
+    mask = data.draw(st.lists(st.booleans(), min_size=g.node_count,
+                              max_size=g.node_count))
+    o = ep.ObserverSet(np.array(mask, dtype=bool))
+    assert (ep.is_vertex_cover(ep.moralize(g), o)
+            == (observation_plan(g, o).violators.size == 0))
+
 
 def test_is_vertex_cover_star_hub_only():
     k = 6

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -256,6 +260,44 @@ def test_config_explicit_observers_must_cover():
                                  "members": list(range(8))})
     cfg = ep.config_from_dict(full)
     assert cfg.observers.size == 8
+
+
+def test_config_explicit_cover_check_does_not_moralize(monkeypatch):
+    # a 2000-leaf in-star moralizes to 2,001,000 edges; the cover check reads
+    # the observation plan instead, in O(m)
+    from episteer import graphs, harness
+
+    def refuse(g):
+        raise AssertionError("moralize called")
+    monkeypatch.setattr(harness, "moralize", refuse)
+    monkeypatch.setattr(graphs, "moralize", refuse)
+    leaves = list(range(1, 2001))
+    doc = config_doc(graph={"kind": "inline", "n": 2001,
+                            "edges": [[leaf, 0] for leaf in leaves]},
+                     observers={"kind": "explicit", "members": leaves})
+    assert ep.config_from_dict(doc).observers.size == 2000
+    doc["observers"]["members"] = leaves[1:]
+    with pytest.raises(ep.ConfigError, match="does not cover the moralized graph"):
+        ep.config_from_dict(doc)
+
+
+def test_setup_and_closed_loop_leave_numpy_ma_unimported():
+    # importing numpy.ma (as plain np.unique does) adds about 1.6 MB of
+    # resident memory to every run
+    code = "\n".join((
+        "import sys, episteer as ep",
+        "cfg = ep.config_from_dict({",
+        "    'graph': {'kind': 'er', 'n': 300, 'p': 3.0 / 299, 'seed': 7},",
+        "    'observers': {'kind': 'auto'}, 'control': {'r': 0.8},",
+        "    'run': {'horizon': 2, 'replications': 1, 'seed': 1}})",
+        "ep.run_closed_loop(cfg)",
+        "print('numpy.ma' in sys.modules)"))
+    src = str(Path(ep.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=300)
+    assert out.stdout.strip() == "False"
 
 
 def test_config_inline_and_file_graphs(tmp_path):
